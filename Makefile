@@ -2,7 +2,18 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-baseline bench-fleet fleet-race chaos-smoke recovery-smoke fuzz-smoke rollup-smoke cluster-smoke reshard-smoke host-smoke
+# run-tests is `go test -run '<regex>' <flags and package>` that fails
+# when the regex matches nothing: `go test -run` exits 0 on "no tests to
+# run", so a renamed test would otherwise turn its smoke line into a
+# silent pass. $(1) is the regex, $(2) the rest of the command line.
+define run-tests
+@echo "$(GO) test -run '$(1)' $(2)"; \
+out=`$(GO) test -run '$(1)' $(2) 2>&1`; rc=$$?; echo "$$out"; \
+[ $$rc -eq 0 ] || exit $$rc; \
+case "$$out" in *"no tests to run"*) echo "FAIL: -run '$(1)' matched no tests" >&2; exit 1;; esac
+endef
+
+.PHONY: check build vet test race benchmark bench-fleet fleet-race chaos-smoke recovery-smoke fuzz-smoke rollup-smoke cluster-smoke reshard-smoke host-smoke
 
 # check is the CI gate: compile everything, vet, full race-enabled tests.
 check: build vet race
@@ -27,8 +38,8 @@ fleet-race:
 # determinism, the degraded-confidence sweep, and the retrying client.
 chaos-smoke:
 	$(GO) test ./internal/chaos
-	$(GO) test -run 'TestChaosDeterminism|TestRobustnessConfidenceSweep' ./internal/experiments
-	$(GO) test -run 'TestDial|TestDiagnoseSurvives|TestRetry|TestHandshake' ./internal/analyzd
+	$(call run-tests,TestChaosDeterminism|TestRobustnessConfidenceSweep,./internal/experiments)
+	$(call run-tests,TestDial|TestDiagnoseSurvives|TestRetry|TestHandshake,./internal/analyzd)
 
 # recovery-smoke proves the crash-safety contract: a 20-seed
 # crash-restart sweep over the durable fleet store under the race
@@ -36,10 +47,10 @@ chaos-smoke:
 # acked records, no incident-ID reuse), plus the WAL corruption and
 # server lifecycle suites.
 recovery-smoke:
-	$(GO) test -race -run TestCrashRestart ./internal/chaos -crash.seeds=20
+	$(call run-tests,TestCrashRestart,-race ./internal/chaos -crash.seeds=20)
 	$(GO) test -race ./internal/fleetstore/wal
-	$(GO) test -race -run 'TestOpen|TestReopen|TestCheckpoint|TestSnapshot|TestEviction|TestReplay' ./internal/fleetstore
-	$(GO) test -race -run 'TestShed|TestThrottle|TestClose|TestDrain|TestHealth|TestServerRestart' ./internal/analyzd
+	$(call run-tests,TestOpen|TestReopen|TestCheckpoint|TestSnapshot|TestEviction|TestReplay,-race ./internal/fleetstore)
+	$(call run-tests,TestShed|TestThrottle|TestClose|TestDrain|TestHealth|TestServerRestart,-race ./internal/analyzd)
 
 # fuzz-smoke runs every native fuzz target for 10s over the committed
 # corpora (testdata/fuzz/) plus fresh mutations — the hostile-input
@@ -63,8 +74,8 @@ fuzz-smoke:
 # host-telemetry robustness curve, and the pathology model suite. The
 # hostside example rides along.
 host-smoke:
-	$(GO) test -race -run TestHostAttributionProperty ./internal/experiments -host.seeds=200 -timeout 40m
-	$(GO) test -race -run 'TestHostEvalAccuracy|TestMixedRobustnessConfidence' ./internal/experiments -timeout 20m
+	$(call run-tests,TestHostAttributionProperty,-race ./internal/experiments -host.seeds=200 -timeout 40m)
+	$(call run-tests,TestHostEvalAccuracy|TestMixedRobustnessConfidence,-race ./internal/experiments -timeout 20m)
 	$(GO) test -race ./internal/host
 	$(GO) run ./examples/hostside
 
@@ -78,8 +89,8 @@ host-smoke:
 # The ring/follower/frontdoor suites and the cluster example ride
 # along.
 cluster-smoke:
-	$(GO) test -race -run TestKillLoop ./internal/fleet -fleet.seeds=20
-	$(GO) test -race -run 'TestRing|TestFollower|TestFrontdoor' ./internal/fleet
+	$(call run-tests,TestKillLoop,-race ./internal/fleet -fleet.seeds=20)
+	$(call run-tests,TestRing|TestFollower|TestFrontdoor,-race ./internal/fleet)
 	$(GO) run ./examples/cluster
 
 # reshard-smoke proves the failover-under-migration contract: a
@@ -93,9 +104,9 @@ cluster-smoke:
 # merges identical to a single-store reference. The writer, executor
 # and epoch suites ride along.
 reshard-smoke:
-	$(GO) test -race -run TestReshardLoop ./internal/fleet -fleet.reshard.seeds=20
-	$(GO) test -race -run 'TestWriter|TestExecutor|TestDoubleFailover' ./internal/fleet
-	$(GO) test -race -run 'TestEpoch|TestAddUnique|TestFreeze|TestPurgeAdopt' ./internal/fleetstore
+	$(call run-tests,TestReshardLoop,-race ./internal/fleet -fleet.reshard.seeds=20)
+	$(call run-tests,TestWriter|TestExecutor|TestShardPool|TestDoubleFailover,-race ./internal/fleet)
+	$(call run-tests,TestEpoch|TestAddUnique|TestFreeze|TestPurgeAdopt,-race ./internal/fleetstore)
 
 # rollup-smoke proves the summarization contract end to end: the
 # three-fabric example must produce a rollup stream >= 10x quieter than
@@ -105,23 +116,19 @@ reshard-smoke:
 rollup-smoke:
 	$(GO) run ./examples/rollup
 	$(GO) test -race ./internal/rollup
-	$(GO) test -race -run 'TestRollup|TestResubscribe' ./internal/analyzd
+	$(call run-tests,TestRollup|TestResubscribe,-race ./internal/analyzd)
 
-# bench is the perf gate: run the harness suite (sim hot paths,
-# telemetry extraction, rollup ingest, serial + parallel EvalRun
-# sweeps) and fail on a >25% ns/op regression — or any new allocation
-# on a zero-alloc path — against the committed baseline. trials/sec and
-# the parallel speedup land in the printed report. The baseline records
-# its GOMAXPROCS and the gate refuses to compare across core counts;
-# run with GOMAXPROCS matching BENCH_experiments.json or re-record via
-# bench-baseline.
-bench:
-	$(GO) run ./cmd/hawkeye-perf -baseline BENCH_experiments.json -gate 0.25
+# benchmark exercises the repository benchmark (BENCHMARK.json): its
+# own vet and contract tests, then one short read-path run so the
+# workload code cannot rot unexercised. A perf claim is ten or more
+# `go run ./benchmark -out DIR` pairs judged by `-compare A B`; see
+# benchmark/README.md.
+benchmark:
+	$(GO) vet ./benchmark
+	$(GO) test ./benchmark
+	$(GO) run ./benchmark -workload fleet_read -seconds 3
 
-# bench-baseline re-measures and rewrites the committed baseline; run it
-# (on a quiet machine) when a deliberate perf change shifts the numbers.
-bench-baseline:
-	$(GO) run ./cmd/hawkeye-perf -out BENCH_experiments.json
-
+# bench-fleet is the fleet store's own micro-benchmarks, for working on
+# the ingest path; nothing gates on it.
 bench-fleet:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/fleetstore

@@ -45,7 +45,7 @@ func main() {
 	// confidence grade track the evidence that survived. Rerunning with
 	// the same seed reproduces this table byte for byte.
 	fmt.Println("\nrobustness sweep (tel-loss 0 -> 50%):")
-	curve, err := experiments.RunRobustnessCurve(
+	curve, err := experiments.NewRunner(0).RunRobustnessCurve(
 		workload.NameIncast, 1, []float64{0, 0.1, 0.25, 0.5}, 2)
 	if err != nil {
 		log.Fatal(err)

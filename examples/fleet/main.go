@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	srv, err := analyzd.Listen("127.0.0.1:0")
+	srv, err := analyzd.ListenOpts("127.0.0.1:0", analyzd.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func main() {
 	// The mixed evaluation: host and network anomalies interleaved, host
 	// agents on. The attribution row is the headline — host-caused
 	// anomalies pinned on the right host with the right pathology.
-	eval, err := experiments.RunHostEval(3)
+	eval, err := experiments.NewRunner(0).RunHostEval(3)
 	if err != nil {
 		log.Fatal(err)
 	}

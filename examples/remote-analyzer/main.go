@@ -29,7 +29,7 @@ func main() {
 		len(tr.View.Traced), tr.Score.Result.Trigger.Victim)
 
 	// The analyzer side: a TCP service, topology learned at handshake.
-	srv, err := analyzd.Listen("127.0.0.1:0")
+	srv, err := analyzd.ListenOpts("127.0.0.1:0", analyzd.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

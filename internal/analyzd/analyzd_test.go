@@ -15,7 +15,7 @@ import (
 
 func newServer(t *testing.T) *Server {
 	t.Helper()
-	s, err := Listen("127.0.0.1:0")
+	s, err := ListenOpts("127.0.0.1:0", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"hawkeye/internal/chaos"
 	"hawkeye/internal/packet"
 	"hawkeye/internal/sim"
 	"hawkeye/internal/telemetry"
@@ -44,6 +43,26 @@ type RetryConfig struct {
 	// Sleep is the delay function (nil = time.Sleep; tests inject a
 	// recorder).
 	Sleep func(time.Duration)
+}
+
+// Delay is the one backoff schedule every retry loop in the fleet tier
+// shares: min(BaseBackoff<<attempt, MaxBackoff), scaled by 1 ±
+// JitterFrac drawn from rng (nil rng or zero JitterFrac: no jitter).
+func (rc RetryConfig) Delay(rng *sim.Rand, attempt int) time.Duration {
+	d := rc.BaseBackoff
+	if d <= 0 {
+		d = time.Millisecond
+	}
+	for i := 0; i < attempt && d < rc.MaxBackoff; i++ {
+		d *= 2
+	}
+	if rc.MaxBackoff > 0 && d > rc.MaxBackoff {
+		d = rc.MaxBackoff
+	}
+	if rc.JitterFrac > 0 && rng != nil {
+		d = time.Duration(float64(d) * (1 + rc.JitterFrac*(2*rng.Float64()-1)))
+	}
+	return d
 }
 
 // DefaultRetryConfig returns the production defaults: 5 attempts,
@@ -160,7 +179,7 @@ func (c *Client) attempts() int {
 
 // backoff sleeps the capped-exponential delay for the given retry index.
 func (c *Client) backoff(attempt int) {
-	c.sleepFor(chaos.Jitter(c.rng, c.retry.BaseBackoff, c.retry.MaxBackoff, attempt, c.retry.JitterFrac))
+	c.sleepFor(c.retry.Delay(c.rng, attempt))
 }
 
 func (c *Client) sleepFor(d time.Duration) {
@@ -215,58 +234,110 @@ func (c *Client) reconnect() error {
 	return err
 }
 
-// request performs one frame round trip, redialing with backoff when the
-// transport fails. Server-level error replies (MsgError) come back as a
-// reply, not an error — they are answers, not failures. A MsgThrottle
-// reply means the server shed the request under load: the session is
-// still healthy, so the client honors the retry-after hint (no redial)
-// and tries again; attempts exhausted, the error wraps ErrThrottled.
-func (c *Client) request(mt wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
-	var lastErr error
-	throttled := false
-	for attempt := 0; attempt < c.attempts(); attempt++ {
-		if attempt > 0 && !throttled {
-			c.backoff(attempt - 1)
-			if err := c.reconnect(); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		throttled = false
-		if err := wire.WriteFrame(c.conn, mt, payload); err != nil {
-			lastErr = err
-			continue
-		}
-	read:
+// roundTrip writes one request frame and reads frames until one is its
+// answer. Frames that are not answers are classified here, once, for
+// every caller: a type this client does not speak is skipped (a newer
+// server may interleave frames; the reply is still coming), MsgThrottle
+// honors the server's retry-after hint and returns an error wrapping
+// ErrThrottled (the session is still healthy), and MsgShutdown returns
+// ErrServerDraining (the session is over).
+func (c *Client) roundTrip(mt wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
+	if err := wire.WriteFrame(c.conn, mt, payload); err != nil {
+		return 0, nil, err
+	}
+	for {
 		rt, rp, err := wire.ReadFrame(c.conn)
-		if err != nil {
-			lastErr = err
-			continue
-		}
 		switch {
+		case err != nil:
+			return 0, nil, err
 		case rt == wire.MsgThrottle:
 			var th wire.Throttle
-			_ = json.Unmarshal(rp, &th)
-			lastErr = fmt.Errorf("analyzd: %s tier shed the request: %w", th.Tier, ErrThrottled)
+			_ = json.Unmarshal(rp, &th) // a bare throttle still means back off
 			if th.RetryAfterMs > 0 {
 				c.sleepFor(time.Duration(th.RetryAfterMs) * time.Millisecond)
 			}
-			throttled = true
-			continue
+			return 0, nil, fmt.Errorf("analyzd: %s tier shed the request: %w", th.Tier, ErrThrottled)
 		case rt == wire.MsgShutdown:
-			// The server is draining: the session is over and a redial
-			// would only hit the same refusal. Surface the typed error so
-			// callers do not mistake the goodbye for their reply.
 			return 0, nil, ErrServerDraining
-		case !wire.Known(rt):
-			// A newer server may interleave frames we do not speak; our
-			// reply is still coming. Skipping keeps the reply attributed to
-			// the right request instead of failing on the stranger.
-			goto read
+		case wire.Known(rt):
+			return rt, rp, nil
 		}
-		return rt, rp, nil
+	}
+}
+
+// request performs one frame round trip, redialing with backoff when the
+// transport fails. Server-level refusals (MsgError, MsgFence) come back
+// as a reply, not an error — they are answers, not failures. A throttled
+// request is retried on the same session (no redial); attempts
+// exhausted, the error wraps ErrThrottled. A draining server ends the
+// request at once: a redial would only hit the same refusal.
+func (c *Client) request(mt wire.MsgType, payload []byte) (wire.MsgType, []byte, error) {
+	var lastErr error
+	for attempt := 0; attempt < c.attempts(); attempt++ {
+		if attempt > 0 && !errors.Is(lastErr, ErrThrottled) {
+			c.backoff(attempt - 1)
+			if lastErr = c.reconnect(); lastErr != nil {
+				continue
+			}
+		}
+		rt, rp, err := c.roundTrip(mt, payload)
+		if err == nil || errors.Is(err, ErrServerDraining) {
+			return rt, rp, err
+		}
+		lastErr = err
 	}
 	return 0, nil, lastErr
+}
+
+// call is the one request/reply exchange behind every public method:
+// encode req (nil: empty body; []byte: sent as is; else JSON), round-trip
+// it with request's retry policy, turn the server's typed refusals into
+// errors — MsgError into its text, MsgFence (when it is not the reply
+// asked for) into *FenceError — and decode the wantType reply into out
+// (nil: the reply carries nothing to decode). what names the operation
+// in errors.
+func (c *Client) call(what string, reqType wire.MsgType, req any, wantType wire.MsgType, out any) error {
+	var body []byte
+	switch r := req.(type) {
+	case nil:
+	case []byte:
+		body = r
+	default:
+		var err error
+		if body, err = json.Marshal(req); err != nil {
+			return fmt.Errorf("analyzd: encode %s: %w", what, err)
+		}
+	}
+	mt, payload, err := c.request(reqType, body)
+	if err != nil {
+		return fmt.Errorf("analyzd: %s: %w", what, err)
+	}
+	return decodeReply(what, mt, payload, wantType, out)
+}
+
+// decodeReply checks one answer frame against the reply type its
+// request wants and decodes it.
+func decodeReply(what string, mt wire.MsgType, payload []byte, wantType wire.MsgType, out any) error {
+	switch {
+	case mt == wantType:
+		if out == nil {
+			return nil
+		}
+		if err := json.Unmarshal(payload, out); err != nil {
+			return fmt.Errorf("analyzd: decode %s reply: %w", what, err)
+		}
+		return nil
+	case mt == wire.MsgError:
+		return fmt.Errorf("analyzd: server error: %s", payload)
+	case mt == wire.MsgFence:
+		var info wire.FenceInfo
+		if err := json.Unmarshal(payload, &info); err != nil {
+			return fmt.Errorf("analyzd: decode fence refusal: %w", err)
+		}
+		return &FenceError{Info: info}
+	default:
+		return fmt.Errorf("analyzd: unexpected reply type %d", mt)
+	}
 }
 
 // push writes one frame with no reply expected, with the same
@@ -323,19 +394,9 @@ func (c *Client) Diagnose(victim packet.FiveTuple) (*wire.Diagnosis, error) {
 // DiagnoseAt is Diagnose with the complaint's trigger time attached, so
 // the server can group diagnoses into incidents.
 func (c *Client) DiagnoseAt(victim packet.FiveTuple, atNS int64) (*wire.Diagnosis, error) {
-	mt, payload, err := c.request(wire.MsgDiagnose, wire.EncodeDiagnoseRequest(victim, atNS))
-	if err != nil {
-		return nil, fmt.Errorf("analyzd: diagnose: %w", err)
-	}
-	if mt == wire.MsgError {
-		return nil, fmt.Errorf("analyzd: server error: %s", payload)
-	}
-	if mt != wire.MsgDiagnosis {
-		return nil, fmt.Errorf("analyzd: unexpected reply type %d", mt)
-	}
 	var d wire.Diagnosis
-	if err := json.Unmarshal(payload, &d); err != nil {
-		return nil, fmt.Errorf("analyzd: decode diagnosis: %w", err)
+	if err := c.call("diagnose", wire.MsgDiagnose, wire.EncodeDiagnoseRequest(victim, atNS), wire.MsgDiagnosis, &d); err != nil {
+		return nil, err
 	}
 	return &d, nil
 }
@@ -343,45 +404,17 @@ func (c *Client) DiagnoseAt(victim packet.FiveTuple, atNS int64) (*wire.Diagnosi
 // Incidents asks the analyzer to group this session's diagnoses into
 // incidents.
 func (c *Client) Incidents() ([]wire.IncidentSummary, error) {
-	mt, payload, err := c.request(wire.MsgIncidents, nil)
-	if err != nil {
-		return nil, fmt.Errorf("analyzd: incidents: %w", err)
-	}
-	if mt == wire.MsgError {
-		return nil, fmt.Errorf("analyzd: server error: %s", payload)
-	}
-	if mt != wire.MsgIncidentList {
-		return nil, fmt.Errorf("analyzd: unexpected reply type %d", mt)
-	}
 	var out []wire.IncidentSummary
-	if err := json.Unmarshal(payload, &out); err != nil {
-		return nil, fmt.Errorf("analyzd: decode incidents: %w", err)
-	}
-	return out, nil
+	err := c.call("incidents", wire.MsgIncidents, nil, wire.MsgIncidentList, &out)
+	return out, err
 }
 
 // QueryIncidents asks the fleet store for clustered incidents matching
 // q. Remember q.Node: 0 is a real node, -1 is the wildcard.
 func (c *Client) QueryIncidents(q wire.IncidentQuery) ([]wire.FleetIncident, error) {
-	body, err := json.Marshal(q)
-	if err != nil {
-		return nil, fmt.Errorf("analyzd: encode query: %w", err)
-	}
-	mt, payload, err := c.request(wire.MsgQueryIncidents, body)
-	if err != nil {
-		return nil, fmt.Errorf("analyzd: query incidents: %w", err)
-	}
-	if mt == wire.MsgError {
-		return nil, fmt.Errorf("analyzd: server error: %s", payload)
-	}
-	if mt != wire.MsgIncidentMatches {
-		return nil, fmt.Errorf("analyzd: unexpected reply type %d", mt)
-	}
 	var out []wire.FleetIncident
-	if err := json.Unmarshal(payload, &out); err != nil {
-		return nil, fmt.Errorf("analyzd: decode fleet incidents: %w", err)
-	}
-	return out, nil
+	err := c.call("query incidents", wire.MsgQueryIncidents, q, wire.MsgIncidentMatches, &out)
+	return out, err
 }
 
 // Subscribe turns this session into a live incident tail: the server
@@ -391,22 +424,7 @@ func (c *Client) QueryIncidents(q wire.IncidentQuery) ([]wire.FleetIncident, err
 // subscriptions first; the request machinery backs off and retries, and
 // the returned error wraps ErrThrottled when every attempt was shed.
 func (c *Client) Subscribe(req wire.SubscribeRequest) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("analyzd: encode subscribe: %w", err)
-	}
-	mt, payload, err := c.request(wire.MsgSubscribe, body)
-	if err != nil {
-		return fmt.Errorf("analyzd: subscribe: %w", err)
-	}
-	if mt == wire.MsgError {
-		return fmt.Errorf("analyzd: server error: %s", payload)
-	}
-	if mt != wire.MsgSubscribeOK {
-		return fmt.Errorf("analyzd: unexpected reply type %d", mt)
-	}
-	c.lastSubType, c.lastSubBody = wire.MsgSubscribe, body
-	return nil
+	return c.subscribe("subscribe", wire.MsgSubscribe, req)
 }
 
 // SubscribeRollups turns this session into a live rollup tail: the
@@ -414,21 +432,20 @@ func (c *Client) Subscribe(req wire.SubscribeRequest) error {
 // open, update and close. After SubscribeRollups, NextRollup is the
 // only valid call. Same throttling contract as Subscribe.
 func (c *Client) SubscribeRollups(req wire.RollupSubscribeRequest) error {
+	return c.subscribe("subscribe rollups", wire.MsgSubscribeRollups, req)
+}
+
+// subscribe sends one subscription request and, once the server has
+// acknowledged it, remembers it for Resubscribe.
+func (c *Client) subscribe(what string, mt wire.MsgType, req any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return fmt.Errorf("analyzd: encode rollup subscribe: %w", err)
+		return fmt.Errorf("analyzd: encode %s: %w", what, err)
 	}
-	mt, payload, err := c.request(wire.MsgSubscribeRollups, body)
-	if err != nil {
-		return fmt.Errorf("analyzd: subscribe rollups: %w", err)
+	if err := c.call(what, mt, body, wire.MsgSubscribeOK, nil); err != nil {
+		return err
 	}
-	if mt == wire.MsgError {
-		return fmt.Errorf("analyzd: server error: %s", payload)
-	}
-	if mt != wire.MsgSubscribeOK {
-		return fmt.Errorf("analyzd: unexpected reply type %d", mt)
-	}
-	c.lastSubType, c.lastSubBody = wire.MsgSubscribeRollups, body
+	c.lastSubType, c.lastSubBody = mt, body
 	return nil
 }
 
@@ -452,44 +469,17 @@ func (c *Client) Resubscribe() error {
 		if attempt > 0 {
 			c.backoff(attempt - 1)
 		}
-		if err := c.reconnect(); err != nil {
-			lastErr = err
+		if lastErr = c.reconnect(); lastErr != nil {
 			continue
 		}
-		if err := wire.WriteFrame(c.conn, c.lastSubType, c.lastSubBody); err != nil {
-			lastErr = err
-			continue
-		}
-	read:
-		mt, payload, err := wire.ReadFrame(c.conn)
+		// Unlike request, a draining or throttling server is worth another
+		// dial: the next attempt may land on the restarted one.
+		mt, payload, err := c.roundTrip(c.lastSubType, c.lastSubBody)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		switch {
-		case mt == wire.MsgSubscribeOK:
-			return nil
-		case mt == wire.MsgThrottle:
-			var th wire.Throttle
-			_ = json.Unmarshal(payload, &th)
-			lastErr = fmt.Errorf("analyzd: %s tier shed the subscription: %w", th.Tier, ErrThrottled)
-			if th.RetryAfterMs > 0 {
-				c.sleepFor(time.Duration(th.RetryAfterMs) * time.Millisecond)
-			}
-			continue
-		case mt == wire.MsgShutdown:
-			// Mid-drain: keep backing off, the next attempt may land on
-			// the restarted server.
-			lastErr = ErrServerDraining
-			continue
-		case mt == wire.MsgError:
-			return fmt.Errorf("analyzd: server error: %s", payload)
-		case !wire.Known(mt):
-			goto read
-		default:
-			lastErr = fmt.Errorf("analyzd: unexpected reply type %d", mt)
-			continue
-		}
+		return decodeReply("resubscribe", mt, payload, wire.MsgSubscribeOK, nil)
 	}
 	return lastErr
 }
@@ -498,19 +488,9 @@ func (c *Client) Resubscribe() error {
 // It works on every session kind and in every lifecycle state short of
 // stopped — it is the probe a supervisor polls during drain.
 func (c *Client) Health() (*wire.Health, error) {
-	mt, payload, err := c.request(wire.MsgHealth, nil)
-	if err != nil {
-		return nil, fmt.Errorf("analyzd: health: %w", err)
-	}
-	if mt == wire.MsgError {
-		return nil, fmt.Errorf("analyzd: server error: %s", payload)
-	}
-	if mt != wire.MsgHealthReply {
-		return nil, fmt.Errorf("analyzd: unexpected reply type %d", mt)
-	}
 	var h wire.Health
-	if err := json.Unmarshal(payload, &h); err != nil {
-		return nil, fmt.Errorf("analyzd: decode health: %w", err)
+	if err := c.call("health", wire.MsgHealth, nil, wire.MsgHealthReply, &h); err != nil {
+		return nil, err
 	}
 	return &h, nil
 }
@@ -519,19 +499,9 @@ func (c *Client) Health() (*wire.Health, error) {
 // and replication watermarks. Unclustered servers answer with an empty
 // shard name and zero replicas.
 func (c *Client) ShardInfo() (*wire.ShardInfo, error) {
-	mt, payload, err := c.request(wire.MsgShardInfo, nil)
-	if err != nil {
-		return nil, fmt.Errorf("analyzd: shard info: %w", err)
-	}
-	if mt == wire.MsgError {
-		return nil, fmt.Errorf("analyzd: server error: %s", payload)
-	}
-	if mt != wire.MsgShardInfoReply {
-		return nil, fmt.Errorf("analyzd: unexpected reply type %d", mt)
-	}
 	var info wire.ShardInfo
-	if err := json.Unmarshal(payload, &info); err != nil {
-		return nil, fmt.Errorf("analyzd: decode shard info: %w", err)
+	if err := c.call("shard info", wire.MsgShardInfo, nil, wire.MsgShardInfoReply, &info); err != nil {
+		return nil, err
 	}
 	return &info, nil
 }
@@ -539,79 +509,54 @@ func (c *Client) ShardInfo() (*wire.ShardInfo, error) {
 // QueryRollups asks the analyzer's summarizer for windowed rollup
 // summaries.
 func (c *Client) QueryRollups(q wire.RollupQuery) (*wire.RollupResult, error) {
-	body, err := json.Marshal(q)
-	if err != nil {
-		return nil, fmt.Errorf("analyzd: encode rollup query: %w", err)
-	}
-	mt, payload, err := c.request(wire.MsgQueryRollups, body)
-	if err != nil {
-		return nil, fmt.Errorf("analyzd: query rollups: %w", err)
-	}
-	if mt == wire.MsgError {
-		return nil, fmt.Errorf("analyzd: server error: %s", payload)
-	}
-	if mt != wire.MsgRollupList {
-		return nil, fmt.Errorf("analyzd: unexpected reply type %d", mt)
-	}
 	var out wire.RollupResult
-	if err := json.Unmarshal(payload, &out); err != nil {
-		return nil, fmt.Errorf("analyzd: decode rollups: %w", err)
+	if err := c.call("query rollups", wire.MsgQueryRollups, q, wire.MsgRollupList, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
+}
+
+// tail blocks for the next pushed frame of the wanted type and decodes
+// it into out. Unknown frame types from a newer server are skipped, per
+// the wire package contract; MsgShutdown is the terminal event — the
+// server is draining, the tail is over.
+func (c *Client) tail(what string, want wire.MsgType, out any) error {
+	for {
+		mt, payload, err := wire.ReadFrame(c.conn)
+		switch {
+		case err != nil:
+			return fmt.Errorf("analyzd: next %s: %w", what, err)
+		case mt == want:
+			if err := json.Unmarshal(payload, out); err != nil {
+				return fmt.Errorf("analyzd: decode %s: %w", what, err)
+			}
+			return nil
+		case mt == wire.MsgShutdown:
+			return ErrServerDraining
+		case mt == wire.MsgError:
+			return fmt.Errorf("analyzd: server error: %s", payload)
+		case wire.Known(mt):
+			return fmt.Errorf("analyzd: unexpected frame type %d while tailing", mt)
+		}
+	}
 }
 
 // NextRollup blocks for the next pushed rollup event; the NextEvent
 // contract (unknown frames skipped, MsgShutdown -> ErrServerDraining)
 // applies.
 func (c *Client) NextRollup() (*wire.RollupEvent, error) {
-	for {
-		mt, payload, err := wire.ReadFrame(c.conn)
-		if err != nil {
-			return nil, fmt.Errorf("analyzd: next rollup: %w", err)
-		}
-		switch {
-		case mt == wire.MsgRollupEvent:
-			var ev wire.RollupEvent
-			if err := json.Unmarshal(payload, &ev); err != nil {
-				return nil, fmt.Errorf("analyzd: decode rollup event: %w", err)
-			}
-			return &ev, nil
-		case mt == wire.MsgShutdown:
-			return nil, ErrServerDraining
-		case mt == wire.MsgError:
-			return nil, fmt.Errorf("analyzd: server error: %s", payload)
-		case !wire.Known(mt):
-			continue
-		default:
-			return nil, fmt.Errorf("analyzd: unexpected frame type %d while tailing", mt)
-		}
+	var ev wire.RollupEvent
+	if err := c.tail("rollup event", wire.MsgRollupEvent, &ev); err != nil {
+		return nil, err
 	}
+	return &ev, nil
 }
 
-// NextEvent blocks for the next pushed incident event. Unknown frame
-// types from a newer server are skipped, per the wire package contract.
+// NextEvent blocks for the next pushed incident event.
 func (c *Client) NextEvent() (*wire.IncidentEvent, error) {
-	for {
-		mt, payload, err := wire.ReadFrame(c.conn)
-		if err != nil {
-			return nil, fmt.Errorf("analyzd: next event: %w", err)
-		}
-		switch {
-		case mt == wire.MsgIncidentEvent:
-			var ev wire.IncidentEvent
-			if err := json.Unmarshal(payload, &ev); err != nil {
-				return nil, fmt.Errorf("analyzd: decode event: %w", err)
-			}
-			return &ev, nil
-		case mt == wire.MsgShutdown:
-			// Terminal event: the server is draining, the tail is over.
-			return nil, ErrServerDraining
-		case mt == wire.MsgError:
-			return nil, fmt.Errorf("analyzd: server error: %s", payload)
-		case !wire.Known(mt):
-			continue // forward compatibility: skip unknown frames
-		default:
-			return nil, fmt.Errorf("analyzd: unexpected frame type %d while tailing", mt)
-		}
+	var ev wire.IncidentEvent
+	if err := c.tail("event", wire.MsgIncidentEvent, &ev); err != nil {
+		return nil, err
 	}
+	return &ev, nil
 }

@@ -43,28 +43,11 @@ func (e *FenceError) Is(target error) bool { return target == ErrFenced }
 // because the resend carries the same OriginSeq. A fencing or
 // moved-fabric refusal returns *FenceError.
 func (c *Client) WriteRecord(req wire.WriteRequest) (*wire.WriteAck, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("analyzd: encode write: %w", err)
+	var ack wire.WriteAck
+	if err := c.call("write record", wire.MsgWriteRecord, req, wire.MsgWriteAck, &ack); err != nil {
+		return nil, err
 	}
-	mt, payload, err := c.request(wire.MsgWriteRecord, body)
-	if err != nil {
-		return nil, fmt.Errorf("analyzd: write record: %w", err)
-	}
-	switch mt {
-	case wire.MsgWriteAck:
-		var ack wire.WriteAck
-		if err := json.Unmarshal(payload, &ack); err != nil {
-			return nil, fmt.Errorf("analyzd: decode write ack: %w", err)
-		}
-		return &ack, nil
-	case wire.MsgFence:
-		return nil, fenceErrorFrom(payload)
-	case wire.MsgError:
-		return nil, fmt.Errorf("analyzd: server error: %s", payload)
-	default:
-		return nil, fmt.Errorf("analyzd: unexpected reply type %d", mt)
-	}
+	return &ack, nil
 }
 
 // AnnounceEpoch tells the shard a (possibly higher) epoch exists for
@@ -72,52 +55,20 @@ func (c *Client) WriteRecord(req wire.WriteRequest) (*wire.WriteAck, error) {
 // fencing probe: announce the promoted epoch to a revived stale
 // primary and the reply proves it demoted itself.
 func (c *Client) AnnounceEpoch(shard string, epoch uint64) (*wire.FenceInfo, error) {
-	body, err := json.Marshal(wire.EpochAnnounce{Shard: shard, Epoch: epoch})
-	if err != nil {
-		return nil, fmt.Errorf("analyzd: encode epoch announce: %w", err)
+	var info wire.FenceInfo
+	if err := c.call("announce epoch", wire.MsgEpoch, wire.EpochAnnounce{Shard: shard, Epoch: epoch}, wire.MsgFence, &info); err != nil {
+		return nil, err
 	}
-	mt, payload, err := c.request(wire.MsgEpoch, body)
-	if err != nil {
-		return nil, fmt.Errorf("analyzd: announce epoch: %w", err)
-	}
-	switch mt {
-	case wire.MsgFence:
-		var info wire.FenceInfo
-		if err := json.Unmarshal(payload, &info); err != nil {
-			return nil, fmt.Errorf("analyzd: decode fence info: %w", err)
-		}
-		return &info, nil
-	case wire.MsgError:
-		return nil, fmt.Errorf("analyzd: server error: %s", payload)
-	default:
-		return nil, fmt.Errorf("analyzd: unexpected reply type %d", mt)
-	}
+	return &info, nil
 }
 
 // QueryRecords dumps the shard's retained records for one fabric
 // (trigger-time order, writer-idempotency sequences intact) — the
 // reshard executor's copy source. limit <= 0 means all.
 func (c *Client) QueryRecords(fabric string, limit int) ([]json.RawMessage, error) {
-	body, err := json.Marshal(wire.RecordQuery{Fabric: fabric, Limit: limit})
-	if err != nil {
-		return nil, fmt.Errorf("analyzd: encode record query: %w", err)
-	}
-	mt, payload, err := c.request(wire.MsgQueryRecords, body)
-	if err != nil {
-		return nil, fmt.Errorf("analyzd: query records: %w", err)
-	}
-	switch mt {
-	case wire.MsgRecordList:
-		var dump wire.RecordDump
-		if err := json.Unmarshal(payload, &dump); err != nil {
-			return nil, fmt.Errorf("analyzd: decode record dump: %w", err)
-		}
-		return dump.Records, nil
-	case wire.MsgError:
-		return nil, fmt.Errorf("analyzd: server error: %s", payload)
-	default:
-		return nil, fmt.Errorf("analyzd: unexpected reply type %d", mt)
-	}
+	var dump wire.RecordDump
+	err := c.call("query records", wire.MsgQueryRecords, wire.RecordQuery{Fabric: fabric, Limit: limit}, wire.MsgRecordList, &dump)
+	return dump.Records, err
 }
 
 // Cutover executes one half of a reshard move on this shard:
@@ -126,34 +77,9 @@ func (c *Client) QueryRecords(fabric string, limit int) ([]json.RawMessage, erro
 // announce the shard's epoch and checkpoint before replying. A fenced
 // shard refuses with *FenceError.
 func (c *Client) Cutover(fabric, op string) (*wire.CutoverReply, error) {
-	body, err := json.Marshal(wire.CutoverRequest{Fabric: fabric, Op: op})
-	if err != nil {
-		return nil, fmt.Errorf("analyzd: encode cutover: %w", err)
+	var reply wire.CutoverReply
+	if err := c.call("cutover", wire.MsgCutover, wire.CutoverRequest{Fabric: fabric, Op: op}, wire.MsgCutoverOK, &reply); err != nil {
+		return nil, err
 	}
-	mt, payload, err := c.request(wire.MsgCutover, body)
-	if err != nil {
-		return nil, fmt.Errorf("analyzd: cutover: %w", err)
-	}
-	switch mt {
-	case wire.MsgCutoverOK:
-		var reply wire.CutoverReply
-		if err := json.Unmarshal(payload, &reply); err != nil {
-			return nil, fmt.Errorf("analyzd: decode cutover reply: %w", err)
-		}
-		return &reply, nil
-	case wire.MsgFence:
-		return nil, fenceErrorFrom(payload)
-	case wire.MsgError:
-		return nil, fmt.Errorf("analyzd: server error: %s", payload)
-	default:
-		return nil, fmt.Errorf("analyzd: unexpected reply type %d", mt)
-	}
-}
-
-func fenceErrorFrom(payload []byte) error {
-	var info wire.FenceInfo
-	if err := json.Unmarshal(payload, &info); err != nil {
-		return fmt.Errorf("analyzd: decode fence refusal: %w", err)
-	}
-	return &FenceError{Info: info}
+	return &reply, nil
 }

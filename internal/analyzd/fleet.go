@@ -116,7 +116,10 @@ func quantilesToWire(q rollup.Quantiles) wire.RollupQuantiles {
 	return wire.RollupQuantiles{Count: q.Count, P50: q.P50, P90: q.P90, P99: q.P99, Max: q.Max}
 }
 
-func summaryToWire(sum *rollup.Summary) wire.RollupSummary {
+// SummaryToWire renders a rollup summary onto the wire shape. The
+// front door uses it too, to re-render a window it merged from several
+// shards' sketch state.
+func SummaryToWire(sum *rollup.Summary) wire.RollupSummary {
 	out := wire.RollupSummary{
 		StartNS:      int64(sum.Start),
 		EndNS:        int64(sum.End),
@@ -154,10 +157,10 @@ func summaryToWire(sum *rollup.Summary) wire.RollupSummary {
 func rollupResultToWire(res rollup.Result) wire.RollupResult {
 	out := wire.RollupResult{}
 	for i := range res.Panes {
-		out.Windows = append(out.Windows, summaryToWire(&res.Panes[i]))
+		out.Windows = append(out.Windows, SummaryToWire(&res.Panes[i]))
 	}
 	if res.Sliding != nil {
-		sl := summaryToWire(res.Sliding)
+		sl := SummaryToWire(res.Sliding)
 		out.Sliding = &sl
 	}
 	return out
@@ -166,6 +169,6 @@ func rollupResultToWire(res rollup.Result) wire.RollupResult {
 func rollupEventToWire(ev *rollup.Event) wire.RollupEvent {
 	return wire.RollupEvent{
 		Kind:    ev.Kind.String(),
-		Summary: summaryToWire(&ev.Summary),
+		Summary: SummaryToWire(&ev.Summary),
 	}
 }

@@ -40,30 +40,48 @@ func fakeServer(t *testing.T, script func(conn net.Conn)) string {
 	return lis.Addr().String()
 }
 
-// noRetry keeps these tests single-shot: a redial against the one-shot
-// fake server would just hang the test.
-func noRetry() RetryConfig {
-	rc := DefaultRetryConfig()
-	rc.MaxAttempts = 1
-	return rc
+// frame is one scripted reply.
+type frame struct {
+	mt   wire.MsgType
+	body string
+}
+
+// scriptedCall runs the client's one round-trip helper (a health
+// probe) against a listener that answers the i-th request frame with
+// replies[i], and returns what the caller of a public method would
+// see, plus the client's recorded sleeps.
+func scriptedCall(t *testing.T, replies ...[]frame) (wire.Health, []time.Duration, *Client, error) {
+	t.Helper()
+	addr := fakeServer(t, func(conn net.Conn) {
+		for _, frames := range replies {
+			if _, _, err := wire.ReadFrame(conn); err != nil {
+				return
+			}
+			for _, f := range frames {
+				_ = wire.WriteFrame(conn, f.mt, []byte(f.body))
+			}
+		}
+	})
+	// One attempt per scripted reply: a redial against the one-shot fake
+	// server would just hang the test.
+	rec := &sleepRecorder{}
+	rc := retryCfgFor(rec)
+	rc.MaxAttempts = len(replies)
+	c, err := DialOperatorRetry(addr, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	var h wire.Health
+	err = c.call("health", wire.MsgHealth, nil, wire.MsgHealthReply, &h)
+	return h, rec.delays, c, err
 }
 
 // TestClientShutdownMidQuery: a MsgShutdown frame arriving where the
 // reply should be is the server draining — the client must surface the
 // typed error, not hang and not parse the goodbye as a health reply.
 func TestClientShutdownMidQuery(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		if _, _, err := wire.ReadFrame(conn); err != nil {
-			return
-		}
-		_ = wire.WriteFrame(conn, wire.MsgShutdown, nil)
-	})
-	c, err := DialOperatorRetry(addr, noRetry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.Health()
+	_, _, _, err := scriptedCall(t, []frame{{wire.MsgShutdown, ""}})
 	if !errors.Is(err, ErrServerDraining) {
 		t.Fatalf("health during drain: %v, want ErrServerDraining", err)
 	}
@@ -72,19 +90,8 @@ func TestClientShutdownMidQuery(t *testing.T) {
 // TestClientErrorMidQuery: a MsgError reply must come back as a clean
 // error naming the server's complaint.
 func TestClientErrorMidQuery(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		if _, _, err := wire.ReadFrame(conn); err != nil {
-			return
-		}
-		_ = wire.WriteFrame(conn, wire.MsgError, []byte("deliberate refusal"))
-	})
-	c, err := DialOperatorRetry(addr, noRetry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.Health()
-	if err == nil || !strings.Contains(err.Error(), "deliberate refusal") {
+	_, _, _, err := scriptedCall(t, []frame{{wire.MsgError, "deliberate refusal"}})
+	if err == nil || err.Error() != "analyzd: server error: deliberate refusal" {
 		t.Fatalf("error reply mangled: %v", err)
 	}
 }
@@ -93,24 +100,63 @@ func TestClientErrorMidQuery(t *testing.T) {
 // server interleaved before the reply must be skipped, with the real
 // reply still attributed to the request.
 func TestClientSkipsUnknownFrameBeforeReply(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		if _, _, err := wire.ReadFrame(conn); err != nil {
-			return
-		}
-		_ = wire.WriteFrame(conn, wire.MsgType(200), []byte("from the future"))
-		_ = wire.WriteFrame(conn, wire.MsgHealthReply, []byte(`{"state":"serving"}`))
+	h, _, _, err := scriptedCall(t, []frame{
+		{wire.MsgType(200), "from the future"},
+		{wire.MsgHealthReply, `{"state":"serving"}`},
 	})
-	c, err := DialOperatorRetry(addr, noRetry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	h, err := c.Health()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.State != "serving" {
 		t.Fatalf("reply misattributed: %+v", h)
+	}
+}
+
+// TestClientCall covers the rest of the round-trip helper's reply
+// classification; the drain, server-error and unknown-frame cases are
+// the three tests above, over the same scripted listener.
+func TestClientCall(t *testing.T) {
+	serving := frame{wire.MsgHealthReply, `{"state":"serving"}`}
+	for _, tc := range []struct {
+		name    string
+		replies [][]frame
+		check   func(t *testing.T, h wire.Health, slept []time.Duration, c *Client, err error)
+	}{
+		{"wanted reply", [][]frame{{serving}},
+			func(t *testing.T, h wire.Health, _ []time.Duration, _ *Client, err error) {
+				if err != nil || h.State != "serving" {
+					t.Fatalf("h = %+v, err = %v", h, err)
+				}
+			}},
+		{"fence refusal", [][]frame{{{wire.MsgFence, `{"shard":"s0","epoch":1,"observed":2,"fenced":true}`}}},
+			func(t *testing.T, _ wire.Health, _ []time.Duration, _ *Client, err error) {
+				var fe *FenceError
+				if !errors.Is(err, ErrFenced) || !errors.As(err, &fe) || fe.Info.Shard != "s0" || fe.Info.Observed != 2 {
+					t.Fatalf("err = %v, want a *FenceError for s0", err)
+				}
+			}},
+		{"wrong reply type", [][]frame{{{wire.MsgSubscribeOK, ""}}},
+			func(t *testing.T, _ wire.Health, _ []time.Duration, _ *Client, err error) {
+				if err == nil || !strings.Contains(err.Error(), "unexpected reply type") {
+					t.Fatalf("err = %v, want unexpected reply type", err)
+				}
+			}},
+		{"throttle then success", [][]frame{{{wire.MsgThrottle, `{"tier":"query","retryAfterMs":7}`}}, {serving}},
+			func(t *testing.T, h wire.Health, slept []time.Duration, c *Client, err error) {
+				if err != nil || h.State != "serving" {
+					t.Fatalf("h = %+v, err = %v", h, err)
+				}
+				// The hint is honored, with no backoff and no redial: the
+				// session was healthy all along.
+				if len(slept) != 1 || slept[0] != 7*time.Millisecond || c.Redials != 0 {
+					t.Fatalf("slept %v, redials %d; want one 7ms sleep, no redial", slept, c.Redials)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, slept, c, err := scriptedCall(t, tc.replies...)
+			tc.check(t, h, slept, c, err)
+		})
 	}
 }
 

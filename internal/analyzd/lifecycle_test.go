@@ -13,7 +13,7 @@ import (
 // Close; every call returns the same result and the server lands in
 // the stopped state exactly once.
 func TestCloseIdempotentConcurrent(t *testing.T) {
-	s, err := Listen("127.0.0.1:0")
+	s, err := ListenOpts("127.0.0.1:0", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +116,12 @@ func TestServerRestartRecoversFleetStore(t *testing.T) {
 		}
 	}
 	fab.Close()
-	before := s.Stats()
+	// Close is the drain barrier for the async ingest queue: counters
+	// read before it race the pipe worker.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	before := s.Stats()
 	if before.Ingested+before.Dropped != n {
 		t.Fatalf("pre-restart ingested=%d dropped=%d, want %d total", before.Ingested, before.Dropped, n)
 	}
@@ -150,7 +152,7 @@ func TestServerRestartRecoversFleetStore(t *testing.T) {
 // TestDrainNotifiesSubscriber: a live tail learns the server is going
 // away via the terminal shutdown frame, not a bare connection error.
 func TestDrainNotifiesSubscriber(t *testing.T) {
-	s, err := Listen("127.0.0.1:0")
+	s, err := ListenOpts("127.0.0.1:0", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

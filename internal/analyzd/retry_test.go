@@ -7,6 +7,7 @@ import (
 
 	"hawkeye/internal/chaos"
 	"hawkeye/internal/packet"
+	"hawkeye/internal/sim"
 )
 
 // sleepRecorder collects the backoff delays instead of waiting them out.
@@ -131,5 +132,35 @@ func TestHandshakeRejectionIsNotRetried(t *testing.T) {
 	}
 	if got := rec.count(); got != 0 {
 		t.Errorf("rejected handshake was retried %d times", got)
+	}
+}
+
+// TestRetryDelayBoundsAndDeterminism pins the shared backoff schedule:
+// capped exponential without jitter, within ±JitterFrac with it, and
+// the same sequence for the same seed.
+func TestRetryDelayBoundsAndDeterminism(t *testing.T) {
+	plain := RetryConfig{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond}
+	for attempt, want := range []time.Duration{
+		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
+		80 * time.Millisecond, 80 * time.Millisecond,
+	} {
+		if got := plain.Delay(nil, attempt); got != want {
+			t.Fatalf("attempt %d: %v, want %v", attempt, got, want)
+		}
+	}
+	jittered := plain
+	jittered.JitterFrac = 0.2
+	a, b := sim.NewRand(5), sim.NewRand(5)
+	for attempt := 0; attempt < 6; attempt++ {
+		da, db := jittered.Delay(a, attempt), jittered.Delay(b, attempt)
+		if da != db {
+			t.Fatalf("jitter not deterministic at attempt %d", attempt)
+		}
+		nominal := plain.Delay(nil, attempt)
+		lo := time.Duration(float64(nominal) * 0.8)
+		hi := time.Duration(float64(nominal) * 1.2)
+		if da < lo || da > hi {
+			t.Fatalf("attempt %d: %v outside [%v, %v]", attempt, da, lo, hi)
+		}
 	}
 }

@@ -218,18 +218,8 @@ type Stats struct {
 	ShedRollups         uint64
 }
 
-// Listen starts a server on addr (e.g. "127.0.0.1:0") with a default
-// in-memory fleet store.
-func Listen(addr string) (*Server, error) {
-	return ListenOpts(addr, Options{})
-}
-
-// ListenFleet starts a server with an explicitly sized fleet store.
-func ListenFleet(addr string, fleetCfg fleetstore.Config) (*Server, error) {
-	return ListenOpts(addr, Options{Fleet: fleetCfg})
-}
-
-// ListenOpts starts a fully configured server. With a DataDir it
+// ListenOpts starts a server on addr (e.g. "127.0.0.1:0"); the zero
+// Options give a default in-memory fleet store. With a DataDir it
 // recovers the fleet store (state "replaying") before accepting
 // sessions, so a client never observes a partially recovered store.
 func ListenOpts(addr string, o Options) (*Server, error) {

@@ -401,31 +401,3 @@ func TestFlakyProxyCorruptsChunks(t *testing.T) {
 		t.Fatal("different seeds produced identical corruption")
 	}
 }
-
-func TestJitterBoundsAndDeterminism(t *testing.T) {
-	base, max := 10*time.Millisecond, 80*time.Millisecond
-	// No jitter: pure capped exponential.
-	for attempt, want := range []time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
-		80 * time.Millisecond, 80 * time.Millisecond,
-	} {
-		if got := Jitter(nil, base, max, attempt, 0); got != want {
-			t.Fatalf("attempt %d: %v, want %v", attempt, got, want)
-		}
-	}
-	// Jittered delays stay within ±frac and replay identically per seed.
-	a, b := sim.NewRand(5), sim.NewRand(5)
-	for attempt := 0; attempt < 6; attempt++ {
-		da := Jitter(a, base, max, attempt, 0.2)
-		db := Jitter(b, base, max, attempt, 0.2)
-		if da != db {
-			t.Fatalf("jitter not deterministic at attempt %d", attempt)
-		}
-		nominal := Jitter(nil, base, max, attempt, 0)
-		lo := time.Duration(float64(nominal) * 0.8)
-		hi := time.Duration(float64(nominal) * 1.2)
-		if da < lo || da > hi {
-			t.Fatalf("attempt %d: %v outside [%v, %v]", attempt, da, lo, hi)
-		}
-	}
-}

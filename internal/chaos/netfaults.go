@@ -234,24 +234,3 @@ func (p *FlakyProxy) untrack(c net.Conn) {
 	p.mu.Unlock()
 	c.Close()
 }
-
-// Jitter computes one capped-exponential-backoff delay with symmetric
-// jitter: min(base<<attempt, max) scaled by 1 ± frac. It is exported so
-// client retry logic and tests share the same arithmetic.
-func Jitter(rng *sim.Rand, base, max time.Duration, attempt int, frac float64) time.Duration {
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if max > 0 && d > max {
-		d = max
-	}
-	if frac > 0 && rng != nil {
-		scale := 1 + frac*(2*rng.Float64()-1)
-		d = time.Duration(float64(d) * scale)
-	}
-	return d
-}

@@ -318,16 +318,6 @@ func (sys *System) DiagnoseAll() []*Result {
 	return out
 }
 
-// DiagnoseSession runs the diagnosis for one session (case studies).
-func (sys *System) DiagnoseSession(id uint32) (*Result, bool) {
-	s, ok := sys.sessions[id]
-	if !ok {
-		return nil, false
-	}
-	sys.correlate()
-	return sys.diagnose(s), true
-}
-
 func (sys *System) diagnose(s *Session) *Result {
 	reports := make([]*telemetry.Report, 0, len(s.Reports))
 	switches := make([]topo.NodeID, 0, len(s.Reports))
@@ -440,7 +430,3 @@ func (sys *System) victimPathSwitches(ft packet.FiveTuple) []topo.NodeID {
 	}
 	return out
 }
-
-// VictimTupleOf is a helper for scenarios: the 5-tuple a flow from src
-// to dst would use is only known after StartFlow; this resolves it.
-func VictimTupleOf(f *host.Flow) packet.FiveTuple { return f.Tuple }

@@ -11,11 +11,8 @@ import (
 )
 
 // Fig12 runs each scenario once and renders the diagnosis plus the
-// provenance graph — the paper's case studies.
-func Fig12() (string, error) { return NewRunner(0).Fig12() }
-
-// Fig12 renders the case studies, one trial per scenario, fanned out
-// across the pool and stitched back in scenario order.
+// provenance graph — the paper's case studies — fanned out across the
+// pool and stitched back in scenario order.
 func (r *Runner) Fig12() (string, error) {
 	scens := EvalScenarios()
 	sections, err := mapOrdered(r, len(scens), func(i int) (string, error) {
@@ -57,14 +54,8 @@ func PollerLatency() *metrics.Table {
 
 // AblationMeterBits compares Hawkeye's byte-count causality meter against
 // an ITSY-style 1-bit presence meter (§3.3 argues the byte counts are
-// what rank causal relevance).
-func AblationMeterBits(trials int) (*metrics.Table, error) {
-	return NewRunner(0).AblationMeterBits(trials)
-}
-
-// AblationMeterBits runs the meter ablation on this runner's pool; both
-// scores of a trial are computed inside its job so the heavyweight
-// trial state dies with the worker.
+// what rank causal relevance). Both scores of a trial are computed
+// inside its job so the heavyweight trial state dies with the worker.
 func (r *Runner) AblationMeterBits(trials int) (*metrics.Table, error) {
 	scens := AnomalyScenarios()
 	type pair struct{ full, onebit metrics.TrialScore }
@@ -97,13 +88,9 @@ func (r *Runner) AblationMeterBits(trials int) (*metrics.Table, error) {
 	return table, nil
 }
 
-// AblationEpochCount sweeps the telemetry ring depth: shallow rings lose
-// anomaly evidence before the complaint arrives.
-func AblationEpochCount(trials int) (*metrics.Table, error) {
-	return NewRunner(0).AblationEpochCount(trials)
-}
-
-// AblationEpochCount runs the ring-depth sweep on this runner's pool.
+// AblationEpochCount sweeps the telemetry ring depth on this runner's
+// pool: shallow rings lose anomaly evidence before the complaint
+// arrives.
 func (r *Runner) AblationEpochCount(trials int) (*metrics.Table, error) {
 	depths := []int{2, 4, 8}
 	var cfgs []TrialConfig
@@ -147,11 +134,6 @@ func (r *Runner) AblationEpochCount(trials int) (*metrics.Table, error) {
 
 // AblationDedup compares polling dedup on/off by polls handled and
 // collections performed (the dedup exists purely to bound overhead).
-func AblationDedup(trials int) (*metrics.Table, error) {
-	return NewRunner(0).AblationDedup(trials)
-}
-
-// AblationDedup runs the dedup-window comparison on this runner's pool.
 func (r *Runner) AblationDedup(trials int) (*metrics.Table, error) {
 	windows := []sim.Time{0, sim.Millisecond}
 	type counts struct{ polls, colls float64 }
@@ -197,11 +179,6 @@ func (r *Runner) AblationDedup(trials int) (*metrics.Table, error) {
 // analysis fabric-wide, flow telemetry only on edge (ToR) switches.
 // Root causes at edge ports stay diagnosable; those on aggregation/core
 // ports lose their contributing-flow evidence.
-func PartialDeployment(trials int) (*metrics.Table, error) {
-	return NewRunner(0).PartialDeployment(trials)
-}
-
-// PartialDeployment runs the deployment comparison on this runner's pool.
 func (r *Runner) PartialDeployment(trials int) (*metrics.Table, error) {
 	var cfgs []TrialConfig
 	for _, scen := range EvalScenarios() {

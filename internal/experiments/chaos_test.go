@@ -65,7 +65,7 @@ func TestRobustnessConfidenceSweep(t *testing.T) {
 	// Two trials per point: seed 2's rate-0.10 trial is the historical
 	// regression where lost epochs erased the contention evidence and the
 	// walk concluded host injection — it must not be graded high.
-	curve, err := RunRobustnessCurve(workload.NameIncast, 1, []float64{0, 0.1, 0.25, 0.5}, 2)
+	curve, err := NewRunner(0).RunRobustnessCurve(workload.NameIncast, 1, []float64{0, 0.1, 0.25, 0.5}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

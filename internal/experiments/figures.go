@@ -56,16 +56,10 @@ type Fig7Cell struct {
 }
 
 // Fig7 runs the precision/recall sweep over epoch size and detection
-// threshold for each anomaly case, fanning trials out across the
-// default worker pool.
-func Fig7(cfg Fig7Config) ([]Fig7Cell, *metrics.Table, error) {
-	return NewRunner(0).Fig7(cfg)
-}
-
-// Fig7 runs the sweep on this runner's pool. Each (scenario, epoch,
-// threshold, seed) point is one independent trial; scores are folded
-// back per cell in seed order, so any worker count renders the same
-// table.
+// threshold for each anomaly case on this runner's pool. Each (scenario,
+// epoch, threshold, seed) point is one independent trial; scores are
+// folded back per cell in seed order, so any worker count renders the
+// same table.
 func (r *Runner) Fig7(cfg Fig7Config) ([]Fig7Cell, *metrics.Table, error) {
 	var cfgs []TrialConfig
 	for _, scen := range AnomalyScenarios() {
@@ -125,14 +119,9 @@ type EvalRun struct {
 }
 
 // RunEval executes `trials` traces per scenario at the default operating
-// point, fanned out across the default worker pool.
-func RunEval(trials int) (*EvalRun, error) {
-	return NewRunner(0).RunEval(trials)
-}
-
-// RunEval executes the evaluation pass on this runner's pool. Results
-// land in the map in scenario/seed order whatever the worker count, so
-// every downstream figure is identical to the serial pass.
+// point on this runner's pool. Results land in the map in scenario/seed
+// order whatever the worker count, so every downstream figure is
+// identical to the serial pass.
 func (r *Runner) RunEval(trials int) (*EvalRun, error) {
 	var cfgs []TrialConfig
 	for _, scen := range EvalScenarios() {

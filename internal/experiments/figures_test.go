@@ -12,7 +12,7 @@ import (
 // figure tables for structural sanity and the paper's qualitative
 // orderings.
 func TestEvalRunFiguresRender(t *testing.T) {
-	run, err := RunEval(2)
+	run, err := NewRunner(0).RunEval(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestFig7QuickSweepRuns(t *testing.T) {
 		t.Skip("long")
 	}
 	cfg := Fig7Config{EpochBits: []uint{17}, Factors: []float64{2}, Trials: 1}
-	cells, table, err := Fig7(cfg)
+	cells, table, err := NewRunner(0).Fig7(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFig12CaseStudies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	out, err := Fig12()
+	out, err := NewRunner(0).Fig12()
 	if err != nil {
 		t.Fatal(err)
 	}

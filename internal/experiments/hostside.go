@@ -50,12 +50,7 @@ func (e *HostEval) Table() *metrics.Table {
 }
 
 // RunHostEval executes `trials` traces per mixed scenario at the default
-// operating point (host agents enabled) on the default worker pool.
-func RunHostEval(trials int) (*HostEval, error) {
-	return NewRunner(0).RunHostEval(trials)
-}
-
-// RunHostEval executes the mixed evaluation pass on this runner's pool.
+// operating point (host agents enabled) on this runner's pool.
 func (r *Runner) RunHostEval(trials int) (*HostEval, error) {
 	scens := workload.MixedScenarios()
 	var cfgs []TrialConfig
@@ -108,12 +103,7 @@ func MixedRobustnessSchedule(rate float64) *chaos.Schedule {
 // RunMixedRobustnessCurve sweeps host-telemetry loss over the mixed
 // host/network workload set and folds one curve per rate: every scenario
 // contributes `trials` seeds to each point, so a point reflects the
-// fleet-wide confidence under that loss rate, not one pathology's.
-func RunMixedRobustnessCurve(seed uint64, rates []float64, trials int) (*metrics.RobustnessCurve, error) {
-	return NewRunner(0).RunMixedRobustnessCurve(seed, rates, trials)
-}
-
-// RunMixedRobustnessCurve runs the sweep on this runner's pool. Chaos
+// fleet-wide confidence under that loss rate, not one pathology's. Chaos
 // seeds derive from trial seeds, so the folded curve is identical at any
 // worker count.
 func (r *Runner) RunMixedRobustnessCurve(seed uint64, rates []float64, trials int) (*metrics.RobustnessCurve, error) {

@@ -19,7 +19,7 @@ var hostSeeds = flag.Int("host.seeds", 12, "seed count for the host attribution 
 // are attributed to the right host with the right pathology in >=90% of
 // trials.
 func TestHostEvalAccuracy(t *testing.T) {
-	eval, err := RunHostEval(5)
+	eval, err := NewRunner(0).RunHostEval(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestHostEvalAccuracy(t *testing.T) {
 // average confidence never rises with the loss rate, degrades across the
 // sweep, and no wrong diagnosis is graded high-confidence at any point.
 func TestMixedRobustnessConfidence(t *testing.T) {
-	curve, err := RunMixedRobustnessCurve(1, []float64{0, 0.25, 0.5}, 2)
+	curve, err := NewRunner(0).RunMixedRobustnessCurve(1, []float64{0, 0.25, 0.5}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

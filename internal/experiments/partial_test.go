@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hawkeye/internal/baselines"
+	"hawkeye/internal/chaos"
 	"hawkeye/internal/diagnosis"
 	"hawkeye/internal/packet"
 	"hawkeye/internal/workload"
@@ -97,7 +98,7 @@ func TestOverheadModelMatchesMechanism(t *testing.T) {
 func TestPollingLossDegradation(t *testing.T) {
 	for _, loss := range []float64{0.3, 1.0} {
 		tc := DefaultTrialConfig(workload.NameIncast, 1)
-		tc.PollLoss = loss
+		tc.Chaos = &chaos.Schedule{PollLoss: loss}
 		tr, err := RunTrial(tc)
 		if err != nil {
 			t.Fatalf("loss=%.1f: %v", loss, err)

@@ -17,14 +17,6 @@ func RobustnessSchedule(rate float64) *chaos.Schedule {
 	}
 }
 
-// RunRobustnessCurve sweeps fault rates over a scenario and measures how
-// the diagnosis degrades: precision/recall per rate, the average
-// confidence the diagnoses claimed, and — the invariant that matters —
-// how often a wrong diagnosis was graded high-confidence.
-func RunRobustnessCurve(scenario string, seed uint64, rates []float64, trials int) (*metrics.RobustnessCurve, error) {
-	return NewRunner(0).RunRobustnessCurve(scenario, seed, rates, trials)
-}
-
 // robustnessSample is one trial's contribution to a curve point.
 type robustnessSample struct {
 	score         metrics.TrialScore
@@ -33,7 +25,10 @@ type robustnessSample struct {
 	highConfWrong bool
 }
 
-// RunRobustnessCurve runs the sweep on this runner's pool. Every
+// RunRobustnessCurve sweeps fault rates over a scenario and measures how
+// the diagnosis degrades: precision/recall per rate, the average
+// confidence the diagnoses claimed, and — the invariant that matters —
+// how often a wrong diagnosis was graded high-confidence. Every
 // (rate, trial) point is an independent trial — the chaos seed derives
 // from the trial seed, not from sweep position — so the folded curve is
 // identical at any worker count.

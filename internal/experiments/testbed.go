@@ -117,13 +117,8 @@ func RunTestbed(scenario string, seed uint64) (metrics.TrialScore, error) {
 	return metrics.ScoreResults(metrics.DefaultScoreConfig(), results, gt, cl.Topo), nil
 }
 
-// TestbedTable runs both testbed cases across seeds and renders the
-// validation rows.
-func TestbedTable(trials int) (*metrics.Table, error) {
-	return NewRunner(0).TestbedTable(trials)
-}
-
-// TestbedTable runs the leaf-spine validation on this runner's pool.
+// TestbedTable runs both testbed cases across seeds on this runner's
+// pool and renders the validation rows.
 func (r *Runner) TestbedTable(trials int) (*metrics.Table, error) {
 	scens := []string{"incast", "storm"}
 	n := len(scens) * trials

@@ -55,15 +55,8 @@ type TrialConfig struct {
 	// their measured overheads can be checked against the Fig. 9 cost
 	// models.
 	MeasureBaselines bool
-	// PollLoss injects polling-packet loss at every switch (failure
-	// testing).
-	//
-	// Deprecated: the knob folds into the chaos schedule's PollLoss; it
-	// is kept so existing sweeps keep their call sites. Prefer Chaos.
-	PollLoss float64
 	// Chaos composes fault injection across the whole pipeline
-	// (internal/chaos); nil runs the trial clean. PollLoss merges into
-	// the schedule when the schedule itself leaves polling untouched.
+	// (internal/chaos); nil runs the trial clean.
 	Chaos *chaos.Schedule
 	// ChaosSeed drives every chaos decision (0 derives from Seed, so a
 	// trial's identity stays one number unless the sweep needs
@@ -209,22 +202,14 @@ func RunTrial(cfg TrialConfig) (*Trial, error) {
 
 	tr := &Trial{Cfg: cfg, Cl: cl, FT: ft, Sys: sys}
 
-	// Fault injection: the legacy PollLoss knob folds into the chaos
-	// schedule, so every fault — polling loss included — runs off one
-	// seeded engine and one accounting surface.
-	sched := chaos.Schedule{}
-	if cfg.Chaos != nil {
-		sched = *cfg.Chaos
-	}
-	if cfg.PollLoss > 0 && sched.PollLoss == 0 {
-		sched.PollLoss = cfg.PollLoss
-	}
-	if !sched.IsZero() {
+	// Fault injection: every fault runs off one seeded engine and one
+	// accounting surface.
+	if sched := cfg.Chaos; sched != nil && !sched.IsZero() {
 		chaosSeed := cfg.ChaosSeed
 		if chaosSeed == 0 {
 			chaosSeed = cfg.Seed ^ 0x1055
 		}
-		tr.Chaos, err = chaos.Install(cl, sys, sched, chaosSeed)
+		tr.Chaos, err = chaos.Install(cl, sys, *sched, chaosSeed)
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hawkeye/internal/analyzd"
 	"hawkeye/internal/fleetstore"
 	"hawkeye/internal/fleetstore/wal"
 	"hawkeye/internal/wire"
@@ -249,8 +250,10 @@ func (f *Follower) Promote(cfg fleetstore.Config) (*fleetstore.Store, error) {
 // run is the supervision loop: stream until torn, back off, re-sync.
 func (f *Follower) run() {
 	defer close(f.done)
-	delay := f.cfg.ReconnectDelay
-	for {
+	// The fleet's one backoff schedule, unjittered: a shard has a single
+	// follower, so there is no herd to spread.
+	backoff := analyzd.RetryConfig{BaseBackoff: f.cfg.ReconnectDelay, MaxBackoff: f.cfg.MaxReconnectDelay}
+	for attempt := 0; ; attempt++ {
 		select {
 		case <-f.quit:
 			return
@@ -264,10 +267,7 @@ func (f *Follower) run() {
 		select {
 		case <-f.quit:
 			return
-		case <-time.After(delay):
-		}
-		if delay *= 2; delay > f.cfg.MaxReconnectDelay {
-			delay = f.cfg.MaxReconnectDelay
+		case <-time.After(backoff.Delay(nil, attempt)):
 		}
 	}
 }

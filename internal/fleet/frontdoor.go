@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -46,19 +47,13 @@ type ShardStatus struct {
 // rollup windows merge by sketch state, which is why the fan-out asks
 // every shard for sketches even when the caller did not.
 type Frontdoor struct {
-	specs []ShardSpec
-	ring  *Ring
-	retry analyzd.RetryConfig
+	pool *shardPool
 
-	mu      sync.Mutex
-	clients map[string]*analyzd.Client
-	closed  bool
+	mu   sync.Mutex
+	ring *Ring
 	// reshard, when set, overrides fabric routing per the in-flight
-	// plan; epochs caches each shard's last observed fencing epoch so
-	// every fresh dial announces it — contacting a revived stale
-	// primary demotes it instead of reading stale answers.
+	// plan.
 	reshard *ReshardState
-	epochs  map[string]uint64
 }
 
 // NewFrontdoor builds a front door over the shard set. The ring is
@@ -66,68 +61,44 @@ type Frontdoor struct {
 // must match what the writers routing fabrics used, or Owner disagrees
 // with where the records actually live.
 func NewFrontdoor(specs []ShardSpec, vnodes int, seed uint64) (*Frontdoor, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("fleet: frontdoor needs at least one shard")
-	}
-	names := make([]string, len(specs))
-	seen := make(map[string]bool, len(specs))
-	for i, sp := range specs {
-		if sp.Name == "" || sp.Addr == "" {
-			return nil, fmt.Errorf("fleet: shard %d needs a name and an address", i)
-		}
-		if seen[sp.Name] {
-			return nil, fmt.Errorf("fleet: duplicate shard %q", sp.Name)
-		}
-		seen[sp.Name] = true
-		names[i] = sp.Name
-	}
-	ring, err := NewRing(names, vnodes, seed)
+	pool, err := newShardPool("frontdoor", specs, analyzd.DefaultRetryConfig(), nil)
 	if err != nil {
 		return nil, err
 	}
-	fd := &Frontdoor{
-		specs:   make([]ShardSpec, len(specs)),
-		ring:    ring,
-		retry:   analyzd.DefaultRetryConfig(),
-		clients: make(map[string]*analyzd.Client),
-		epochs:  make(map[string]uint64),
+	ring, err := NewRing(pool.names(), vnodes, seed)
+	if err != nil {
+		return nil, err
 	}
-	copy(fd.specs, specs)
-	// Fixed merge order: shard name, so the fan-out collection order is
-	// a property of the cluster, not of the caller's spec ordering.
-	sort.Slice(fd.specs, func(i, j int) bool { return fd.specs[i].Name < fd.specs[j].Name })
-	return fd, nil
+	return &Frontdoor{pool: pool, ring: ring}, nil
 }
 
 // Ring exposes the routing ring.
-func (fd *Frontdoor) Ring() *Ring { return fd.ring }
-
-// Shards returns the shard set in merge order.
-func (fd *Frontdoor) Shards() []ShardSpec {
-	out := make([]ShardSpec, len(fd.specs))
-	copy(out, fd.specs)
-	return out
+func (fd *Frontdoor) Ring() *Ring {
+	fd.mu.Lock()
+	defer fd.mu.Unlock()
+	return fd.ring
 }
+
+// Shards returns the shard set in merge order: shard name, so the
+// fan-out collection order is a property of the cluster, not of the
+// caller's spec ordering.
+func (fd *Frontdoor) Shards() []ShardSpec { return fd.pool.shards() }
 
 // Owner returns the shard owning a fabric, honoring an in-flight
 // reshard: the old owner until the fabric's cutover completes, the new
 // owner after.
 func (fd *Frontdoor) Owner(fabric string) ShardSpec {
 	fd.mu.Lock()
-	rs := fd.reshard
+	rs, ring := fd.reshard, fd.ring
 	fd.mu.Unlock()
 	var name string
 	if rs != nil {
 		name = rs.Owner(fabric)
 	} else {
-		name = fd.ring.Owner(fabric)
+		name = ring.Owner(fabric)
 	}
-	for _, sp := range fd.specs {
-		if sp.Name == name {
-			return sp
-		}
-	}
-	return ShardSpec{} // unreachable: the ring only knows spec names
+	spec, _ := fd.pool.spec(name) // the ring only knows pool names
+	return spec
 }
 
 // SetReshard points fabric routing at an in-flight reshard plan.
@@ -150,134 +121,50 @@ func (fd *Frontdoor) FinishReshard() {
 // NoteEpoch records a shard's observed fencing epoch; every fresh dial
 // to that shard announces it, demoting a revived stale primary on
 // first contact.
-func (fd *Frontdoor) NoteEpoch(shard string, epoch uint64) {
-	fd.mu.Lock()
-	if epoch > fd.epochs[shard] {
-		fd.epochs[shard] = epoch
-	}
-	fd.mu.Unlock()
-}
+func (fd *Frontdoor) NoteEpoch(shard string, epoch uint64) { fd.pool.noteEpoch(shard, epoch) }
 
 // Update repoints one shard at a new primary address (after a
 // failover promotion) and drops any cached session to the old one.
-func (fd *Frontdoor) Update(spec ShardSpec) error {
-	for i := range fd.specs {
-		if fd.specs[i].Name == spec.Name {
-			fd.specs[i].Addr = spec.Addr
-			fd.mu.Lock()
-			if c, ok := fd.clients[spec.Name]; ok {
-				c.Close()
-				delete(fd.clients, spec.Name)
-			}
-			fd.mu.Unlock()
-			return nil
-		}
-	}
-	return fmt.Errorf("fleet: unknown shard %q", spec.Name)
-}
+func (fd *Frontdoor) Update(spec ShardSpec) error { return fd.pool.update(spec) }
 
 // Close drops every cached shard session.
-func (fd *Frontdoor) Close() {
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	fd.closed = true
-	for name, c := range fd.clients {
-		c.Close()
-		delete(fd.clients, name)
-	}
-}
-
-// client returns a cached operator session to the named shard, dialing
-// one if needed.
-func (fd *Frontdoor) client(name, addr string) (*analyzd.Client, error) {
-	fd.mu.Lock()
-	if fd.closed {
-		fd.mu.Unlock()
-		return nil, fmt.Errorf("fleet: frontdoor closed")
-	}
-	if c, ok := fd.clients[name]; ok {
-		fd.mu.Unlock()
-		return c, nil
-	}
-	fd.mu.Unlock()
-	c, err := analyzd.DialOperatorRetry(addr, fd.retry)
-	if err != nil {
-		return nil, err
-	}
-	// Carry our epoch view into the fresh session: if this address is a
-	// revived stale primary, the announce fences it before any query
-	// reads stale state, and the reply refreshes our view either way.
-	fd.mu.Lock()
-	known := fd.epochs[name]
-	fd.mu.Unlock()
-	if known > 0 {
-		if info, err := c.AnnounceEpoch(name, known); err == nil {
-			fd.NoteEpoch(name, info.Epoch)
-			if info.Observed > info.Epoch {
-				fd.NoteEpoch(name, info.Observed)
-			}
-		}
-	}
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	if fd.closed {
-		c.Close()
-		return nil, fmt.Errorf("fleet: frontdoor closed")
-	}
-	if prev, ok := fd.clients[name]; ok {
-		c.Close()
-		return prev, nil
-	}
-	fd.clients[name] = c
-	return c, nil
-}
-
-// drop forgets a shard's cached session after an operation error, so
-// the next query redials instead of reusing a dead transport.
-func (fd *Frontdoor) drop(name string) {
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	if c, ok := fd.clients[name]; ok {
-		c.Close()
-		delete(fd.clients, name)
-	}
-}
+func (fd *Frontdoor) Close() { fd.pool.close() }
 
 // fanout runs fn against every shard concurrently and collects the
 // failures in shard order. fn runs on distinct sessions, one per
 // shard, so slow shards overlap.
-func (fd *Frontdoor) fanout(fn func(i int, spec ShardSpec, c *analyzd.Client) error) []ShardError {
-	errs := make([]error, len(fd.specs))
+func (fd *Frontdoor) fanout(specs []ShardSpec, fn func(i int, c *analyzd.Client) error) []ShardError {
+	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
-	for i := range fd.specs {
+	for i := range specs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			spec := fd.specs[i]
-			c, err := fd.client(spec.Name, spec.Addr)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if err := fn(i, spec, c); err != nil {
-				fd.drop(spec.Name)
-				errs[i] = err
-			}
+			errs[i] = fd.pool.do(specs[i].Name, func(c *analyzd.Client) error { return fn(i, c) })
 		}(i)
 	}
 	wg.Wait()
 	var out []ShardError
 	for i, err := range errs {
 		if err != nil {
-			out = append(out, ShardError{Shard: fd.specs[i].Name, Err: err})
+			out = append(out, ShardError{Shard: specs[i].Name, Err: err})
 		}
 	}
 	return out
 }
 
-// errAllShardsDown wraps a fan-out where nothing answered.
-func (fd *Frontdoor) allDown(errs []ShardError) error {
-	if len(errs) == len(fd.specs) {
+// askOne runs fn against a single shard and shapes its failure like a
+// one-shard fan-out.
+func (fd *Frontdoor) askOne(shard string, fn func(c *analyzd.Client) error) ([]ShardError, error) {
+	if err := fd.pool.do(shard, fn); err != nil {
+		return []ShardError{{Shard: shard, Err: err}}, err
+	}
+	return nil, nil
+}
+
+// allDown wraps a fan-out where nothing answered.
+func allDown(shards int, errs []ShardError) error {
+	if len(errs) == shards {
 		return fmt.Errorf("fleet: every shard failed (first: %w)", errs[0].Err)
 	}
 	return nil
@@ -291,29 +178,21 @@ func (fd *Frontdoor) allDown(errs []ShardError) error {
 // non-nil only when no shard answered.
 func (fd *Frontdoor) QueryIncidents(q wire.IncidentQuery) ([]wire.FleetIncident, []ShardError, error) {
 	if q.Fabric != "" {
-		spec := fd.Owner(q.Fabric)
-		c, err := fd.client(spec.Name, spec.Addr)
-		if err != nil {
-			return nil, []ShardError{{Shard: spec.Name, Err: err}}, err
-		}
-		incs, err := c.QueryIncidents(q)
-		if err != nil {
-			fd.drop(spec.Name)
-			return nil, []ShardError{{Shard: spec.Name, Err: err}}, err
-		}
-		return incs, nil, nil
+		var incs []wire.FleetIncident
+		errs, err := fd.askOne(fd.Owner(q.Fabric).Name, func(c *analyzd.Client) (err error) {
+			incs, err = c.QueryIncidents(q)
+			return err
+		})
+		return incs, errs, err
 	}
 
-	perShard := make([][]wire.FleetIncident, len(fd.specs))
-	errs := fd.fanout(func(i int, spec ShardSpec, c *analyzd.Client) error {
-		incs, err := c.QueryIncidents(q)
-		if err != nil {
-			return err
-		}
-		perShard[i] = incs
-		return nil
+	specs := fd.pool.shards()
+	perShard := make([][]wire.FleetIncident, len(specs))
+	errs := fd.fanout(specs, func(i int, c *analyzd.Client) (err error) {
+		perShard[i], err = c.QueryIncidents(q)
+		return err
 	})
-	if err := fd.allDown(errs); err != nil {
+	if err := allDown(len(specs), errs); err != nil {
 		return nil, errs, err
 	}
 	var merged []wire.FleetIncident
@@ -337,30 +216,23 @@ func (fd *Frontdoor) QueryIncidents(q wire.IncidentQuery) ([]wire.FleetIncident,
 // the caller's own flag decides whether the merged windows keep it.
 func (fd *Frontdoor) QueryRollups(q wire.RollupQuery) (*wire.RollupResult, []ShardError, error) {
 	wantSketches := q.IncludeSketches
-	if len(fd.specs) == 1 {
-		c, err := fd.client(fd.specs[0].Name, fd.specs[0].Addr)
-		if err != nil {
-			return nil, []ShardError{{Shard: fd.specs[0].Name, Err: err}}, err
-		}
-		res, err := c.QueryRollups(q)
-		if err != nil {
-			fd.drop(fd.specs[0].Name)
-			return nil, []ShardError{{Shard: fd.specs[0].Name, Err: err}}, err
-		}
-		return res, nil, nil
+	specs := fd.pool.shards()
+	if len(specs) == 1 {
+		var res *wire.RollupResult
+		errs, err := fd.askOne(specs[0].Name, func(c *analyzd.Client) (err error) {
+			res, err = c.QueryRollups(q)
+			return err
+		})
+		return res, errs, err
 	}
 
 	q.IncludeSketches = true
-	results := make([]*wire.RollupResult, len(fd.specs))
-	errs := fd.fanout(func(i int, spec ShardSpec, c *analyzd.Client) error {
-		res, err := c.QueryRollups(q)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
+	results := make([]*wire.RollupResult, len(specs))
+	errs := fd.fanout(specs, func(i int, c *analyzd.Client) (err error) {
+		results[i], err = c.QueryRollups(q)
+		return err
 	})
-	if err := fd.allDown(errs); err != nil {
+	if err := allDown(len(specs), errs); err != nil {
 		return nil, errs, err
 	}
 
@@ -440,7 +312,7 @@ func mergeWireWindows(ws []wire.RollupSummary, keepSketches bool) (wire.RollupSu
 	if !keepSketches {
 		merged.Sketches = nil
 	}
-	return summaryToWire(&merged), nil
+	return analyzd.SummaryToWire(&merged), nil
 }
 
 // summaryFromWire rebuilds the mergeable parts of a shard's window:
@@ -469,79 +341,29 @@ func summaryFromWire(ws *wire.RollupSummary) (rollup.Summary, error) {
 	}, nil
 }
 
-// summaryToWire renders a merged summary back onto the wire shape —
-// the front door's counterpart of the analyzer's own conversion.
-func summaryToWire(sum *rollup.Summary) wire.RollupSummary {
-	out := wire.RollupSummary{
-		StartNS:      int64(sum.Start),
-		EndNS:        int64(sum.End),
-		Closed:       sum.Closed,
-		Records:      sum.Records,
-		ByType:       sum.ByType,
-		ByCause:      sum.ByCause,
-		ByConfidence: sum.ByConfidence,
-		StallNS: wire.RollupQuantiles{
-			Count: sum.StallNS.Count, P50: sum.StallNS.P50, P90: sum.StallNS.P90,
-			P99: sum.StallNS.P99, Max: sum.StallNS.Max,
-		},
-		Score: wire.RollupQuantiles{
-			Count: sum.Score.Count, P50: sum.Score.P50, P90: sum.Score.P90,
-			P99: sum.Score.P99, Max: sum.Score.Max,
-		},
-		Bytes:     sum.Bytes,
-		Evictions: sum.Evictions,
-		Headline:  sum.Headline,
-	}
-	if len(sum.TopLevels) > 0 {
-		out.Top = make(map[string][]wire.RollupHitter, len(sum.TopLevels))
-		for level, hitters := range sum.TopLevels {
-			hs := make([]wire.RollupHitter, len(hitters))
-			for i, h := range hitters {
-				hs[i] = wire.RollupHitter{Key: h.Key, Count: h.Count, Err: h.Err}
-			}
-			out.Top[level] = hs
-		}
-	}
-	if sum.Sketches != nil {
-		if b, err := json.Marshal(sum.Sketches); err == nil {
-			out.Sketches = b
-		}
-	}
-	return out
-}
+var errUnreachable = errors.New("unreachable")
 
 // Health probes every shard: lifecycle health plus cluster identity
 // (role, replication lag, last checkpoint). Rows come back in shard
 // order with per-shard errors inline — a down shard is a row, not a
 // failure.
 func (fd *Frontdoor) Health() []ShardStatus {
-	rows := make([]ShardStatus, len(fd.specs))
-	fd.fanout(func(i int, spec ShardSpec, c *analyzd.Client) error {
-		row := ShardStatus{Spec: spec}
-		h, err := c.Health()
-		if err != nil {
-			row.Err = err
-			rows[i] = row
-			return err
-		}
-		row.Health = h
-		info, err := c.ShardInfo()
-		if err != nil {
-			row.Err = err
-			rows[i] = row
-			return err
-		}
-		fd.NoteEpoch(spec.Name, info.Epoch)
-		row.Info = info
-		rows[i] = row
-		return nil
-	})
-	for i := range rows {
-		if rows[i].Spec.Name == "" {
-			rows[i].Spec = fd.specs[i] // client dial failed before fn ran
-			rows[i].Err = fmt.Errorf("unreachable")
-		}
+	specs := fd.pool.shards()
+	rows := make([]ShardStatus, len(specs))
+	for i, spec := range specs {
+		// Stands when the dial fails before the probe below runs.
+		rows[i] = ShardStatus{Spec: spec, Err: errUnreachable}
 	}
+	fd.fanout(specs, func(i int, c *analyzd.Client) error {
+		row := &rows[i]
+		if row.Health, row.Err = c.Health(); row.Err == nil {
+			row.Info, row.Err = c.ShardInfo()
+		}
+		if row.Err == nil {
+			fd.NoteEpoch(row.Spec.Name, row.Info.Epoch)
+		}
+		return row.Err
+	})
 	return rows
 }
 
@@ -583,14 +405,14 @@ func (fd *Frontdoor) Subscribe(req wire.SubscribeRequest, buf int) (*Tail, []Sha
 	if buf <= 0 {
 		buf = 64
 	}
-	specs := fd.specs
+	specs := fd.pool.shards()
 	if req.Fabric != "" {
 		specs = []ShardSpec{fd.Owner(req.Fabric)}
 	}
 	t := &Tail{events: make(chan TailEvent, buf), stop: make(chan struct{})}
 	var errs []ShardError
 	for _, spec := range specs {
-		c, err := analyzd.DialOperatorRetry(spec.Addr, fd.retry)
+		c, err := analyzd.DialOperatorRetry(spec.Addr, fd.pool.retry)
 		if err != nil {
 			errs = append(errs, ShardError{Shard: spec.Name, Err: err})
 			continue

@@ -126,85 +126,26 @@ type ReshardReport struct {
 // Executor runs reshard plans against live shards over the analyzer
 // protocol.
 type Executor struct {
-	specs map[string]ShardSpec
-	retry analyzd.RetryConfig
-
-	mu      sync.Mutex
-	clients map[string]*analyzd.Client
+	pool *shardPool
 }
 
 // NewExecutor builds an executor over the cluster's current primary
 // addresses.
 func NewExecutor(specs []ShardSpec, retry analyzd.RetryConfig) (*Executor, error) {
-	ex := &Executor{
-		specs:   make(map[string]ShardSpec, len(specs)),
-		retry:   retry,
-		clients: make(map[string]*analyzd.Client),
-	}
-	for _, sp := range specs {
-		if sp.Name == "" || sp.Addr == "" {
-			return nil, fmt.Errorf("fleet: executor shard needs a name and an address")
-		}
-		ex.specs[sp.Name] = sp
-	}
-	return ex, nil
-}
-
-// Update repoints one shard at a new primary (mid-reshard failover).
-func (ex *Executor) Update(spec ShardSpec) {
-	ex.mu.Lock()
-	ex.specs[spec.Name] = spec
-	if c, ok := ex.clients[spec.Name]; ok {
-		c.Close()
-		delete(ex.clients, spec.Name)
-	}
-	ex.mu.Unlock()
-}
-
-// Close drops every cached shard session.
-func (ex *Executor) Close() {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	for name, c := range ex.clients {
-		c.Close()
-		delete(ex.clients, name)
-	}
-}
-
-func (ex *Executor) client(name string) (*analyzd.Client, error) {
-	ex.mu.Lock()
-	spec, ok := ex.specs[name]
-	if !ok {
-		ex.mu.Unlock()
-		return nil, fmt.Errorf("fleet: executor knows no shard %q", name)
-	}
-	if c, ok := ex.clients[name]; ok {
-		ex.mu.Unlock()
-		return c, nil
-	}
-	ex.mu.Unlock()
-	c, err := analyzd.DialOperatorRetry(spec.Addr, ex.retry)
+	pool, err := newShardPool("executor", specs, retry, nil)
 	if err != nil {
 		return nil, err
 	}
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	if prev, ok := ex.clients[name]; ok {
-		c.Close()
-		return prev, nil
-	}
-	ex.clients[name] = c
-	return c, nil
+	return &Executor{pool: pool}, nil
 }
 
-func (ex *Executor) drop(name string) {
-	ex.mu.Lock()
-	if c, ok := ex.clients[name]; ok {
-		c.Close()
-		delete(ex.clients, name)
-	}
-	ex.mu.Unlock()
-}
+// Update repoints one shard at a new primary (mid-reshard failover).
+// A shard the executor was not built over is ignored: no move can
+// name it.
+func (ex *Executor) Update(spec ShardSpec) { _ = ex.pool.update(spec) }
+
+// Close drops every cached shard session.
+func (ex *Executor) Close() { ex.pool.close() }
 
 // Execute runs every move in the plan, mutating rs as it goes. Moves
 // run sequentially — a reshard is a maintenance operation; bounding it
@@ -240,7 +181,7 @@ func (ex *Executor) executeMove(rs *ReshardState, m Move) (*MoveReport, error) {
 	mr := &MoveReport{Move: m}
 	rs.setPhase(m.Fabric, moveFrozen)
 
-	from, err := ex.client(m.From)
+	from, err := ex.pool.client(m.From)
 	if err != nil {
 		return mr, fmt.Errorf("dial old owner: %w", err)
 	}
@@ -249,12 +190,12 @@ func (ex *Executor) executeMove(rs *ReshardState, m Move) (*MoveReport, error) {
 	// side seal is the barrier that makes the dump final against writes
 	// already in flight.
 	if _, err := from.Cutover(m.Fabric, wire.CutoverFreeze); err != nil {
-		ex.drop(m.From)
+		ex.pool.drop(m.From)
 		return mr, fmt.Errorf("freeze: %w", err)
 	}
 	dump, err := from.QueryRecords(m.Fabric, 0)
 	if err != nil {
-		ex.drop(m.From)
+		ex.pool.drop(m.From)
 		return mr, fmt.Errorf("dump: %w", err)
 	}
 
@@ -277,7 +218,7 @@ func (ex *Executor) executeMove(rs *ReshardState, m Move) (*MoveReport, error) {
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].originSeq < recs[j].originSeq })
 
-	to, err := ex.client(m.To)
+	to, err := ex.pool.client(m.To)
 	if err != nil {
 		return mr, fmt.Errorf("dial new owner: %w", err)
 	}
@@ -288,7 +229,7 @@ func (ex *Executor) executeMove(rs *ReshardState, m Move) (*MoveReport, error) {
 			Record:    cr.raw,
 		})
 		if err != nil {
-			ex.drop(m.To)
+			ex.pool.drop(m.To)
 			return mr, fmt.Errorf("copy: %w", err)
 		}
 		if ack.Duplicate {
@@ -300,7 +241,7 @@ func (ex *Executor) executeMove(rs *ReshardState, m Move) (*MoveReport, error) {
 
 	rel, err := from.Cutover(m.Fabric, wire.CutoverRelease)
 	if err != nil {
-		ex.drop(m.From)
+		ex.pool.drop(m.From)
 		return mr, fmt.Errorf("release: %w", err)
 	}
 	mr.Purged = rel.Purged
@@ -308,7 +249,7 @@ func (ex *Executor) executeMove(rs *ReshardState, m Move) (*MoveReport, error) {
 
 	adopt, err := to.Cutover(m.Fabric, wire.CutoverAdopt)
 	if err != nil {
-		ex.drop(m.To)
+		ex.pool.drop(m.To)
 		return mr, fmt.Errorf("adopt: %w", err)
 	}
 	mr.ToEpoch = adopt.Epoch

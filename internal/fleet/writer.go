@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hawkeye/internal/analyzd"
-	"hawkeye/internal/chaos"
 	"hawkeye/internal/fleetstore"
 	"hawkeye/internal/sim"
 	"hawkeye/internal/wire"
@@ -54,21 +53,18 @@ type WriterConfig struct {
 // Writer routes fabric ingest to ring owners. See WriterConfig.
 type Writer struct {
 	cfg  WriterConfig
-	ring *Ring
+	pool *shardPool
 	rng  *sim.Rand
 
 	mu      sync.Mutex
-	specs   map[string]ShardSpec
-	clients map[string]*analyzd.Client
+	ring    *Ring
 	nextSeq map[string]uint64 // per-fabric idempotency sequence
-	epochs  map[string]uint64 // per-shard last observed epoch
 	reshard *ReshardState
-	closed  bool
 
 	// Writes counts acked records; Duplicates acks that hit the dedup
 	// watermark (a resend whose first attempt landed); Reroutes
 	// fencing/moved refusals that forced re-resolution; Redials
-	// transport-failure reconnects.
+	// reconnects — dials to a shard after its first session was lost.
 	Writes     atomic.Uint64
 	Duplicates atomic.Uint64
 	Reroutes   atomic.Uint64
@@ -77,25 +73,6 @@ type Writer struct {
 
 // NewWriter builds a writer over the shard set.
 func NewWriter(cfg WriterConfig) (*Writer, error) {
-	if len(cfg.Specs) == 0 {
-		return nil, fmt.Errorf("fleet: writer needs at least one shard")
-	}
-	names := make([]string, len(cfg.Specs))
-	specs := make(map[string]ShardSpec, len(cfg.Specs))
-	for i, sp := range cfg.Specs {
-		if sp.Name == "" || sp.Addr == "" {
-			return nil, fmt.Errorf("fleet: writer shard %d needs a name and an address", i)
-		}
-		if _, dup := specs[sp.Name]; dup {
-			return nil, fmt.Errorf("fleet: duplicate shard %q", sp.Name)
-		}
-		specs[sp.Name] = sp
-		names[i] = sp.Name
-	}
-	ring, err := NewRing(names, cfg.Vnodes, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 16
 	}
@@ -105,35 +82,31 @@ func NewWriter(cfg WriterConfig) (*Writer, error) {
 	if cfg.Retry.MaxAttempts == 0 && cfg.Retry.BaseBackoff == 0 {
 		cfg.Retry = analyzd.DefaultRetryConfig()
 	}
-	return &Writer{
+	w := &Writer{
 		cfg:     cfg,
-		ring:    ring,
 		rng:     sim.NewRand(cfg.Seed ^ 0x57121E57121E5712),
-		specs:   specs,
-		clients: make(map[string]*analyzd.Client),
 		nextSeq: make(map[string]uint64),
-		epochs:  make(map[string]uint64),
-	}, nil
+	}
+	var err error
+	if w.pool, err = newShardPool("writer", cfg.Specs, cfg.Retry, &w.Redials); err != nil {
+		return nil, err
+	}
+	if w.ring, err = NewRing(w.pool.names(), cfg.Vnodes, cfg.Seed); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
 // Ring exposes the routing ring.
-func (w *Writer) Ring() *Ring { return w.ring }
+func (w *Writer) Ring() *Ring {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.ring
+}
 
 // Update repoints one shard at a new primary address (failover) and
 // drops any cached session to the old one.
-func (w *Writer) Update(spec ShardSpec) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, ok := w.specs[spec.Name]; !ok {
-		return fmt.Errorf("fleet: writer knows no shard %q", spec.Name)
-	}
-	w.specs[spec.Name] = spec
-	if c, ok := w.clients[spec.Name]; ok {
-		c.Close()
-		delete(w.clients, spec.Name)
-	}
-	return nil
-}
+func (w *Writer) Update(spec ShardSpec) error { return w.pool.update(spec) }
 
 // SetReshard points routing at an in-flight reshard plan; Write
 // consults it per fabric until FinishReshard.
@@ -154,15 +127,7 @@ func (w *Writer) FinishReshard() {
 }
 
 // Close drops every cached shard session.
-func (w *Writer) Close() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.closed = true
-	for name, c := range w.clients {
-		c.Close()
-		delete(w.clients, name)
-	}
-}
+func (w *Writer) Close() { w.pool.close() }
 
 // owner resolves the fabric's current shard, honoring an in-flight
 // reshard.
@@ -175,64 +140,6 @@ func (w *Writer) owner(fabric string) (string, *ReshardState) {
 		return rs.Owner(fabric), rs
 	}
 	return ring.Owner(fabric), nil
-}
-
-func (w *Writer) client(name string) (*analyzd.Client, error) {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil, fmt.Errorf("fleet: writer closed")
-	}
-	spec, ok := w.specs[name]
-	if !ok {
-		w.mu.Unlock()
-		return nil, fmt.Errorf("fleet: writer knows no shard %q", name)
-	}
-	if c, ok := w.clients[name]; ok {
-		w.mu.Unlock()
-		return c, nil
-	}
-	w.mu.Unlock()
-	c, err := analyzd.DialOperatorRetry(spec.Addr, w.cfg.Retry)
-	if err != nil {
-		return nil, err
-	}
-	w.Redials.Add(1)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		c.Close()
-		return nil, fmt.Errorf("fleet: writer closed")
-	}
-	if prev, ok := w.clients[name]; ok {
-		c.Close()
-		return prev, nil
-	}
-	w.clients[name] = c
-	return c, nil
-}
-
-func (w *Writer) drop(name string) {
-	w.mu.Lock()
-	if c, ok := w.clients[name]; ok {
-		c.Close()
-		delete(w.clients, name)
-	}
-	w.mu.Unlock()
-}
-
-func (w *Writer) epochOf(name string) uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.epochs[name]
-}
-
-func (w *Writer) noteEpoch(name string, epoch uint64) {
-	w.mu.Lock()
-	if epoch > w.epochs[name] {
-		w.epochs[name] = epoch
-	}
-	w.mu.Unlock()
 }
 
 // NextOriginSeq reserves the fabric's next idempotency sequence. Write
@@ -266,8 +173,7 @@ func (w *Writer) WriteSeq(fabric string, originSeq uint64, rec fleetstore.Record
 	var lastErr error
 	for attempt := 0; attempt < w.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(chaos.Jitter(w.rng, w.cfg.Retry.BaseBackoff, w.cfg.Retry.MaxBackoff,
-				attempt-1, w.cfg.Retry.JitterFrac))
+			time.Sleep(w.cfg.Retry.Delay(w.rng, attempt-1))
 		}
 		shard, rs := w.owner(fabric)
 		if rs != nil && rs.Frozen(fabric) {
@@ -279,19 +185,18 @@ func (w *Writer) WriteSeq(fabric string, originSeq uint64, rec fleetstore.Record
 			}
 			shard, _ = w.owner(fabric)
 		}
-		c, err := w.client(shard)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		ack, err := c.WriteRecord(wire.WriteRequest{
-			Fabric:    fabric,
-			OriginSeq: originSeq,
-			Epoch:     w.epochOf(shard),
-			Record:    body,
+		var ack *wire.WriteAck
+		err := w.pool.do(shard, func(c *analyzd.Client) (err error) {
+			ack, err = c.WriteRecord(wire.WriteRequest{
+				Fabric:    fabric,
+				OriginSeq: originSeq,
+				Epoch:     w.pool.epochOf(shard),
+				Record:    body,
+			})
+			return err
 		})
 		if err == nil {
-			w.noteEpoch(shard, ack.Epoch)
+			w.pool.noteEpoch(shard, ack.Epoch)
 			w.Writes.Add(1)
 			if ack.Duplicate {
 				w.Duplicates.Add(1)
@@ -303,17 +208,11 @@ func (w *Writer) WriteSeq(fabric string, originSeq uint64, rec fleetstore.Record
 		if errors.As(err, &fe) {
 			// Typed refusal: the shard is superseded (a promotion we have
 			// not heard about yet) or no longer owns the fabric (reshard).
-			// Drop the session and re-resolve — Update/SetReshard from the
-			// control plane lands between attempts.
+			// The session is already dropped; re-resolve — Update/SetReshard
+			// from the control plane lands between attempts.
 			w.Reroutes.Add(1)
-			w.noteEpoch(shard, fe.Info.Epoch)
-			if fe.Info.Observed > fe.Info.Epoch {
-				w.noteEpoch(shard, fe.Info.Observed)
-			}
-			w.drop(shard)
-			continue
+			w.pool.noteEpoch(shard, max(fe.Info.Epoch, fe.Info.Observed))
 		}
-		w.drop(shard)
 	}
 	return nil, fmt.Errorf("fleet: write %s/%d: %w", fabric, originSeq, lastErr)
 }

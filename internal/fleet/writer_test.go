@@ -116,6 +116,9 @@ func TestWriterSurvivesFailover(t *testing.T) {
 	if err := fl.WaitForSeq(srv.Fleet().Seq(), 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	if n := w.Redials.Load(); n != 0 {
+		t.Fatalf("healthy writes counted %d redials: the first dial is not one", n)
+	}
 
 	// Kill, promote the follower's directory, repoint the writer.
 	srv.Fleet().Abort()
@@ -139,6 +142,9 @@ func TestWriterSurvivesFailover(t *testing.T) {
 		if _, err := w.Write("fabA", testRec("fabA", i)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if n := w.Redials.Load(); n < 1 {
+		t.Fatalf("writer counted %d redials across a failover, want >= 1", n)
 	}
 	recs := srv2.Fleet().Records(fleetstore.Query{Node: fleetstore.AnyNode})
 	if len(recs) != 20 {

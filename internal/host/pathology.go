@@ -37,7 +37,7 @@ const (
 	PathologyPauseStorm
 )
 
-// String renders the kind in the spelling ParsePathology accepts.
+// String renders the kind the way scenario names and reports spell it.
 func (k PathologyKind) String() string {
 	switch k {
 	case PathologyNone:
@@ -50,21 +50,6 @@ func (k PathologyKind) String() string {
 		return "pause-storm"
 	}
 	return fmt.Sprintf("pathology(%d)", int(k))
-}
-
-// ParsePathology parses a -host-anomaly flag value.
-func ParsePathology(s string) (PathologyKind, error) {
-	switch s {
-	case "", "none":
-		return PathologyNone, nil
-	case "slow-receiver":
-		return PathologySlowReceiver, nil
-	case "cache-thrash":
-		return PathologyCacheThrash, nil
-	case "pause-storm":
-		return PathologyPauseStorm, nil
-	}
-	return PathologyNone, fmt.Errorf("host: unknown pathology %q (want slow-receiver|cache-thrash|pause-storm)", s)
 }
 
 // PathologyConfig parametrizes one installed pathology. The zero value

@@ -65,17 +65,6 @@ func (s *Store) History(flow packet.FiveTuple, seq uint32) []Postcard {
 	return h
 }
 
-// HopDelays returns each hop's residence time for one packet, in path
-// order.
-func (s *Store) HopDelays(flow packet.FiveTuple, seq uint32) []sim.Time {
-	h := s.History(flow, seq)
-	out := make([]sim.Time, len(h))
-	for i, pc := range h {
-		out[i] = pc.DequeuedAt - pc.EnqueuedAt
-	}
-	return out
-}
-
 // SlowestHop returns the hop where one packet waited longest (zero value
 // if no history).
 func (s *Store) SlowestHop(flow packet.FiveTuple, seq uint32) (Postcard, sim.Time) {

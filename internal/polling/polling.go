@@ -42,16 +42,6 @@ type Config struct {
 	// Faults, when set, injects polling-packet loss and duplication at
 	// handler entry. Install via the chaos engine.
 	Faults FaultInjector
-	// LossProb injects polling-packet loss at handler entry.
-	//
-	// Deprecated: set Faults (chaos.Schedule.PollLoss) instead, which
-	// shares the engine-wide seeded RNG and fault accounting. LossProb
-	// keeps working when Faults is nil. Requires Rng. Zero disables.
-	LossProb float64
-	// Rng drives the deprecated LossProb injection (deterministic, seeded).
-	//
-	// Deprecated: see LossProb.
-	Rng *sim.Rand
 }
 
 // DefaultConfig uses a 1 ms dedup window and no failure injection.
@@ -71,7 +61,7 @@ type Handler struct {
 	// Counters.
 	Handled        uint64
 	Dropped        uint64
-	Lost           uint64 // fault-injected losses (Config.Faults / LossProb)
+	Lost           uint64 // fault-injected losses (Config.Faults)
 	Duplicated     uint64 // fault-injected duplicate arrivals
 	ForwardVictim  uint64
 	ForwardCausal  uint64
@@ -109,10 +99,6 @@ func (h *Handler) HandlePolling(sw *device.Switch, pkt *packet.Packet, inPort in
 			h.Duplicated++
 			h.handle(sw, hdr, inPort)
 		}
-	} else if h.Cfg.LossProb > 0 && h.Cfg.Rng != nil && h.Cfg.Rng.Float64() < h.Cfg.LossProb {
-		// Deprecated LossProb shim (pre-chaos failure testing).
-		h.Lost++
-		return
 	}
 	h.handle(sw, hdr, inPort)
 }

@@ -244,14 +244,27 @@ func TestPollingTTLDecrements(t *testing.T) {
 	}
 }
 
+// lossInjector is a test-local FaultInjector: seeded per-packet loss,
+// no duplication.
+type lossInjector struct {
+	prob float64
+	rng  *sim.Rand
+}
+
+func (l *lossInjector) DropPolling(topo.NodeID, packet.PollingHeader) bool {
+	return l.rng.Float64() < l.prob
+}
+
+func (l *lossInjector) DuplicatePolling(topo.NodeID, packet.PollingHeader) bool { return false }
+
 func TestLossInjection(t *testing.T) {
 	fx := newFixture(t)
 	sw0 := fx.cl.Switches[fx.d.Switches[0]]
 	h := fx.hands[fx.d.Switches[0]]
 
 	// Certain loss: every polling packet vanishes before any processing.
-	h.Cfg.LossProb = 1
-	h.Cfg.Rng = sim.NewRand(7)
+	loss := &lossInjector{prob: 1, rng: sim.NewRand(7)}
+	h.Cfg.Faults = loss
 	for i := 0; i < 5; i++ {
 		v := fx.victim
 		v.SrcPort += uint16(i) // distinct victims bypass dedup
@@ -265,7 +278,7 @@ func TestLossInjection(t *testing.T) {
 	}
 
 	// Zero probability: back to normal.
-	h.Cfg.LossProb = 0
+	loss.prob = 0
 	fx.inject(sw0, pollPacket(fx.victim, packet.FlagVictimPath), 0)
 	if h.Handled != 1 {
 		t.Fatalf("handled=%d after disabling loss", h.Handled)
@@ -276,8 +289,7 @@ func TestPartialLossStillForwards(t *testing.T) {
 	fx := newFixture(t)
 	sw0 := fx.cl.Switches[fx.d.Switches[0]]
 	h := fx.hands[fx.d.Switches[0]]
-	h.Cfg.LossProb = 0.5
-	h.Cfg.Rng = sim.NewRand(1)
+	h.Cfg.Faults = &lossInjector{prob: 0.5, rng: sim.NewRand(1)}
 	n := 40
 	for i := 0; i < n; i++ {
 		v := fx.victim

@@ -358,9 +358,6 @@ func (g *Graph) AddHostReport(hr *telemetry.HostReport, t *topo.Topology) {
 // port edge (0 when the edge does not exist).
 func (g *Graph) EdgeEvidence(a, b topo.PortRef) int { return g.PortEdgeEvidence[a][b] }
 
-// OutDegreeP returns the port-level out-degree of p (Table 2 signatures).
-func (g *Graph) OutDegreeP(p topo.PortRef) int { return len(g.PortEdges[p]) }
-
 // PortNeighbors returns the downstream congested ports p waits for,
 // sorted for determinism.
 func (g *Graph) PortNeighbors(p topo.PortRef) []topo.PortRef {

@@ -65,6 +65,28 @@ func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 	}
 }
 
+// TestOnEnqueueZeroAlloc pins the per-packet hot path: with the epoch
+// ring and flow tables warm, recording an enqueue allocates nothing,
+// across epoch rollovers and flow-table churn alike.
+func TestOnEnqueueZeroAlloc(t *testing.T) {
+	s, now := allocTestState(t)
+	feed(s, now, 6000) // 4.5 epochs: every ring slot has been used
+	pkt := &packet.Packet{Type: packet.TypeData, Class: packet.ClassLossless, Size: 1078,
+		Flow: packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 17}}
+	ev := device.EnqueueEvent{Pkt: pkt, InPort: 0, OutPort: 1, QueueBytes: 20000}
+	i := 0
+	avg := testing.AllocsPerRun(2000, func() {
+		*now += 100
+		i++
+		ev.Now = *now
+		ev.Pkt.Flow.SrcPort = uint16(i)
+		s.OnEnqueue(ev)
+	})
+	if avg != 0 {
+		t.Fatalf("OnEnqueue allocates %.2f objects/op, want 0", avg)
+	}
+}
+
 // TestSnapshotIntoZeroAlloc pins the telemetry buffer-reuse contract:
 // once the report's buffers are warm, a per-epoch snapshot allocates
 // nothing. This backs BenchmarkTelemetrySnapshot's allocs/op gate.
