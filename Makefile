@@ -1,6 +1,7 @@
 # Standard library only; the targets below are the whole toolchain.
 
 GO ?= go
+comma := ,
 
 # run-tests is `go test -run '<regex>' <flags and package>` that fails
 # when the regex matches nothing: `go test -run` exits 0 on "no tests to
@@ -13,10 +14,12 @@ out=`$(GO) test -run '$(1)' $(2) 2>&1`; rc=$$?; echo "$$out"; \
 case "$$out" in *"no tests to run"*) echo "FAIL: -run '$(1)' matched no tests" >&2; exit 1;; esac
 endef
 
-.PHONY: check build vet test race benchmark bench-fleet fleet-race chaos-smoke recovery-smoke fuzz-smoke rollup-smoke cluster-smoke reshard-smoke host-smoke
+.PHONY: check build vet test race no-poll sync-stress benchmark bench-fleet fleet-race chaos-smoke recovery-smoke fuzz-smoke rollup-smoke cluster-smoke reshard-smoke host-smoke
 
-# check is the CI gate: compile everything, vet, full race-enabled tests.
-check: build vet race
+# check is the CI gate: compile everything, vet, the no-poll guard,
+# full race-enabled tests, then the synchronisation-heavy packages
+# repeated at one and two cores.
+check: build vet no-poll race sync-stress
 
 build:
 	$(GO) build ./...
@@ -29,6 +32,36 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# no-poll keeps the fleet tier's waits event-driven: the replicated
+# write path (WAL group commit, follower ack, semi-sync wait, reshard
+# hold) blocks on the event it is waiting for, because a sub-millisecond
+# timer costs a millisecond and three in series made a write 20x the
+# disk's cost. Any timer or sleep in these packages' non-test code fails
+# the build unless it is listed here — and what is listed is a delay
+# that is itself the policy (a backoff, a deadline), never a stand-in
+# for a wake-up.
+NO_POLL_DIRS := internal/fleetstore internal/fleet internal/analyzd
+# the client's backoff between redials (RetryConfig.Sleep's default)
+NO_POLL_ALLOW += -e '^internal/analyzd/client\.go:[0-9]+:.*sleep = time\.Sleep$$'
+# the writer's backoff between resends, same schedule
+NO_POLL_ALLOW += -e '^internal/fleet/writer\.go:[0-9]+:.*time\.Sleep\(w\.cfg\.Retry\.Delay\('
+# the follower's backoff between re-syncs, in run
+NO_POLL_ALLOW += -e '^internal/fleet/follower\.go:[0-9]+:.*<-time\.After\(backoff\.Delay\('
+# the deadline arm of watermark.Wait: fires only when the event never comes
+NO_POLL_ALLOW += -e '^internal/fleetstore/watermark/watermark\.go:[0-9]+:.*timer = time\.NewTimer\(d\)$$'
+no-poll:
+	@hits=`grep -rnE 'time\.(Sleep|NewTimer|NewTicker|After|AfterFunc|Tick)\b' --include='*.go' --exclude='*_test.go' $(NO_POLL_DIRS) \
+		| grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | grep -vE $(NO_POLL_ALLOW)`; \
+	if [ -n "$$hits" ]; then echo "$$hits"; \
+		echo "FAIL: timer or sleep on the fleet tier; wait on the event (internal/fleetstore/watermark) or allowlist the delay in the Makefile" >&2; exit 1; fi; \
+	echo "no-poll: ok"
+
+# sync-stress repeats the packages whose tests lean on goroutine
+# synchronisation at GOMAXPROCS 1 and 2 (-cpu), three times each: a test
+# that passes only on a wide machine, or only sometimes, fails here.
+sync-stress:
+	$(call run-tests,.,-count=3 -cpu 1$(comma)2 ./internal/fleetstore/... ./internal/fleet ./internal/analyzd)
 
 # fleet-race is the fast loop while working on the ingest pipeline.
 fleet-race:

@@ -98,12 +98,17 @@ func drain(s *analyzd.Server, shard string, drainTimeout time.Duration) {
 		s.BeginHandoff()
 		target := s.Fleet().Seq()
 		watermark, caughtUp := s.WaitFollower(drainTimeout)
-		if caughtUp {
+		switch {
+		case caughtUp:
 			fmt.Printf("hawkeye-shardd: follower caught up at watermark %d\n", watermark)
-		} else {
+		case watermark < target:
 			fmt.Fprintf(os.Stderr,
 				"hawkeye-shardd: drain timeout: follower at watermark %d, store at %d — promoting it now would lose acked records\n",
 				watermark, target)
+		default:
+			fmt.Fprintf(os.Stderr,
+				"hawkeye-shardd: drain timeout: follower holds every record (watermark %d) but has not mirrored epoch %d — promoting it now would not fence this primary\n",
+				watermark, s.Fleet().Epoch())
 		}
 	}
 	if err := s.Close(); err != nil {

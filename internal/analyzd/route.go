@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hawkeye/internal/fleetstore"
+	"hawkeye/internal/fleetstore/watermark"
 	"hawkeye/internal/wire"
 )
 
@@ -111,17 +112,16 @@ func (s *Server) waitSemiSync(seq uint64) bool {
 	if s.semiSync <= 0 {
 		return true
 	}
-	deadline := time.Now().Add(s.semiSync)
-	for s.followerSeq.Load() < seq {
-		if s.fleet.Replicas() == 0 {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return true
+	return s.awaitFollower(&s.followerSeq, seq, time.Now().Add(s.semiSync))
+}
+
+// awaitFollower blocks until a follower has acked w up to target or
+// none is attached any more, and reports false when the deadline
+// passes first. It wakes on the ack and on the detach themselves, never
+// on a clock.
+func (s *Server) awaitFollower(w *watermark.Watermark, target uint64, deadline time.Time) bool {
+	noFollower := func() bool { return s.fleet.Replicas() == 0 }
+	return w.Wait(target, deadline, noFollower) || noFollower()
 }
 
 // serveEpochAnnounce handles MsgEpoch from a peer (front door, writer
@@ -238,22 +238,16 @@ func (s *Server) BeginHandoff() {
 }
 
 // WaitFollower settles the ingest queue, then blocks until a follower
-// has acked the store's full admission sequence, bounded by timeout.
-// Returns the follower watermark and whether catch-up completed; a
-// server with no follower attached returns immediately (vacuously
-// caught up — there is nobody to hand off to).
+// has acked the store's full admission sequence and mirrored its
+// fencing epoch — what a promotion from that follower needs to
+// supersede this primary — bounded by timeout. Returns the follower
+// watermark and whether catch-up completed; a server with no follower
+// attached returns immediately (vacuously caught up — there is nobody
+// to hand off to).
 func (s *Server) WaitFollower(timeout time.Duration) (uint64, bool) {
 	s.pipe.Drain()
-	target := s.fleet.Seq()
 	deadline := time.Now().Add(timeout)
-	for {
-		f := s.followerSeq.Load()
-		if f >= target || s.fleet.Replicas() == 0 {
-			return f, true
-		}
-		if time.Now().After(deadline) {
-			return f, false
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	ok := s.awaitFollower(&s.followerSeq, s.fleet.Seq(), deadline) &&
+		s.awaitFollower(&s.followerEpoch, s.fleet.Epoch(), deadline)
+	return s.followerSeq.Load(), ok
 }

@@ -31,6 +31,7 @@ import (
 	"hawkeye/internal/core"
 	"hawkeye/internal/diagnosis"
 	"hawkeye/internal/fleetstore"
+	"hawkeye/internal/fleetstore/watermark"
 	"hawkeye/internal/host"
 	"hawkeye/internal/provenance"
 	"hawkeye/internal/rollup"
@@ -142,16 +143,18 @@ type Server struct {
 	// Cluster identity and replication health: shard names this instance
 	// on the ring; repls tracks live replication streams (guarded by mu)
 	// so drain can detach them; followerSeq is the highest watermark any
-	// follower has acked.
+	// follower has acked — what semi-sync writes and the handoff drain
+	// block on, woken by each MsgReplAck and by a replica detaching.
 	shard       string
 	replBuffer  int
 	repls       map[*fleetstore.ReplicaSync]struct{}
-	followerSeq atomic.Uint64
+	followerSeq watermark.Watermark
 	// followerEpoch is the fencing epoch the follower last acked having
-	// mirrored durably; semiSync bounds the per-write follower wait;
-	// handoff marks a graceful drain (ingest refused, reads and
-	// replication still served while the follower catches up).
-	followerEpoch atomic.Uint64
+	// mirrored durably, which the handoff drain also waits for; semiSync
+	// bounds the per-write follower wait; handoff marks a graceful drain
+	// (ingest refused, reads and replication still served while the
+	// follower catches up).
+	followerEpoch watermark.Watermark
 	semiSync      time.Duration
 	handoff       atomic.Bool
 
@@ -268,6 +271,13 @@ func ListenOpts(addr string, o Options) (*Server, error) {
 	}
 	s.lis = lis
 	s.fleet = st
+	// A waiter on the follower's ack must not outlive the follower: wake
+	// it when a replication stream leaves (the follower died, was dropped
+	// as too slow, or Close detached it for the drain).
+	st.OnReplicaDetach(func() {
+		s.followerSeq.Wake()
+		s.followerEpoch.Wake()
+	})
 	if o.ManualPipeline {
 		s.pipe = fleetstore.NewPipelineManual(st, o.PipeDepth)
 	} else {
@@ -868,18 +878,8 @@ func (s *Server) serve(sess *session, t wire.MsgType, payload []byte, sendErr fu
 			s.decodeErrors.Add(1)
 			return s.strike(sess)
 		}
-		for {
-			cur := s.followerSeq.Load()
-			if ack.Seq <= cur || s.followerSeq.CompareAndSwap(cur, ack.Seq) {
-				break
-			}
-		}
-		for ack.Epoch != 0 {
-			cur := s.followerEpoch.Load()
-			if ack.Epoch <= cur || s.followerEpoch.CompareAndSwap(cur, ack.Epoch) {
-				break
-			}
-		}
+		s.followerSeq.Advance(ack.Seq)
+		s.followerEpoch.Advance(ack.Epoch)
 	case wire.MsgShardInfo:
 		if err := sess.writeJSON(wire.MsgShardInfoReply, s.shardInfo()); err != nil {
 			return false

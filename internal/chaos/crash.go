@@ -98,7 +98,6 @@ func CrashRestart(dir string, seed uint64, cfg CrashConfig) (CrashReport, error)
 		ResolvedKeep:  4096,
 		SnapshotEvery: 16 + rngBatch.Intn(48),
 		SegmentBytes:  4096,
-		GroupWindow:   -1,
 	}
 
 	var rep CrashReport

@@ -12,6 +12,7 @@ import (
 	"hawkeye/internal/analyzd"
 	"hawkeye/internal/fleetstore"
 	"hawkeye/internal/fleetstore/wal"
+	"hawkeye/internal/fleetstore/watermark"
 	"hawkeye/internal/wire"
 )
 
@@ -89,8 +90,11 @@ type Follower struct {
 	pending map[uint64]bool // durable seqs above the contiguous watermark
 	stopped bool
 
-	acked   atomic.Uint64 // highest contiguous durable seq
-	epoch   atomic.Uint64 // primary's fencing epoch, mirrored durably
+	// acked and epoch are what callers wait on; Stop wakes both so no
+	// waiter outlives the stream that could have advanced them.
+	acked watermark.Watermark // highest contiguous durable seq
+	epoch watermark.Watermark // primary's fencing epoch, mirrored durably
+
 	snapSeq atomic.Uint64 // newest shipped snapshot
 	records atomic.Uint64 // records admitted (not skipped duplicates)
 	snaps   atomic.Uint64 // snapshots shipped
@@ -121,10 +125,10 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	// Collect the durable sequence set to rebuild the contiguous
 	// watermark; payloads are not needed, the WAL is the state.
 	seen := make(map[uint64]bool)
-	// Synchronous appends: the single stream goroutine gains nothing
-	// from group commit, and Append's return doubling as the durability
-	// barrier is what the ack watermark is built on.
-	log, _, err := wal.Open(filepath.Join(cfg.Dir, "wal"), wal.Options{GroupWindow: -1},
+	// Append's return doubling as the durability barrier is what the ack
+	// watermark is built on; the single stream goroutine is always a lone
+	// appender, so each record costs exactly one inline fsync.
+	log, _, err := wal.Open(filepath.Join(cfg.Dir, "wal"), wal.Options{},
 		func(seq uint64, payload []byte) error {
 			if seq > snapSeq {
 				seen[seq] = true
@@ -149,7 +153,7 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 		log.Close()
 		return nil, fmt.Errorf("fleet: follower epoch: %w", err)
 	}
-	f.epoch.Store(epoch)
+	f.epoch.Advance(epoch)
 	w := snapSeq
 	for seen[w+1] {
 		w++
@@ -158,7 +162,7 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	for seq := range seen {
 		f.pending[seq] = true
 	}
-	f.acked.Store(w)
+	f.acked.Advance(w)
 	f.snapSeq.Store(snapSeq)
 	go f.run()
 	return f, nil
@@ -204,17 +208,37 @@ func (f *Follower) Pending() int {
 
 // WaitForSeq blocks until the durable watermark reaches seq or the
 // timeout passes — the acknowledgement barrier a semi-sync writer (or
-// a test) waits on.
+// a test) waits on. A stopped follower's watermark can no longer move,
+// so Stop ends the wait at once with an error that says so.
 func (f *Follower) WaitForSeq(seq uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for f.acked.Load() < seq {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet: follower watermark %d short of %d after %s",
-				f.acked.Load(), seq, timeout)
-		}
-		time.Sleep(200 * time.Microsecond)
+	return f.wait(&f.acked, "watermark", seq, timeout)
+}
+
+// waitEpoch is WaitForSeq for the mirrored fencing epoch: it blocks
+// until the follower has durably mirrored epoch — the precondition for
+// a promotion bump from this directory to supersede the primary.
+func (f *Follower) waitEpoch(epoch uint64, timeout time.Duration) error {
+	return f.wait(&f.epoch, "mirrored epoch", epoch, timeout)
+}
+
+func (f *Follower) wait(w *watermark.Watermark, what string, target uint64, timeout time.Duration) error {
+	if w.Wait(target, time.Now().Add(timeout), f.quitting) {
+		return nil
 	}
-	return nil
+	if f.quitting() {
+		return fmt.Errorf("fleet: follower stopped with %s %d short of %d", what, w.Load(), target)
+	}
+	return fmt.Errorf("fleet: follower %s %d short of %d after %s", what, w.Load(), target, timeout)
+}
+
+// quitting reports whether Stop has been called.
+func (f *Follower) quitting() bool {
+	select {
+	case <-f.quit:
+		return true
+	default:
+		return false
+	}
 }
 
 // Stop tears the replication session and closes the local WAL. The
@@ -222,6 +246,8 @@ func (f *Follower) WaitForSeq(seq uint64, timeout time.Duration) error {
 // Idempotent.
 func (f *Follower) Stop() error {
 	f.quitOnce.Do(func() { close(f.quit) })
+	f.acked.Wake()
+	f.epoch.Wake()
 	f.mu.Lock()
 	f.stopped = true
 	if f.conn != nil {
@@ -254,10 +280,8 @@ func (f *Follower) run() {
 	// follower, so there is no herd to spread.
 	backoff := analyzd.RetryConfig{BaseBackoff: f.cfg.ReconnectDelay, MaxBackoff: f.cfg.MaxReconnectDelay}
 	for attempt := 0; ; attempt++ {
-		select {
-		case <-f.quit:
+		if f.quitting() {
 			return
-		default:
 		}
 		err := f.stream()
 		if err == nil {
@@ -301,12 +325,10 @@ func (f *Follower) stream() error {
 	}()
 
 	fail := func(err error) error {
-		select {
-		case <-f.quit:
+		if f.quitting() {
 			return nil
-		default:
-			return err
 		}
+		return err
 	}
 
 	if err := wire.WriteJSON(conn, wire.MsgHello, wire.Hello{Version: wire.ProtocolVersion}); err != nil {
@@ -381,7 +403,7 @@ func (f *Follower) stream() error {
 				if err := wal.WriteEpoch(f.cfg.Dir, ea.Epoch); err != nil {
 					return fail(fmt.Errorf("fleet: mirror epoch: %w", err))
 				}
-				f.epoch.Store(ea.Epoch)
+				f.epoch.Advance(ea.Epoch)
 			}
 			if err := wire.WriteJSON(conn, wire.MsgReplAck, wire.ReplAck{Seq: f.acked.Load(), Epoch: f.epoch.Load()}); err != nil {
 				return fail(err)
@@ -438,9 +460,7 @@ func (f *Follower) admit(seq uint64, payload []byte) (bool, error) {
 		delete(f.pending, w)
 		advanced = true
 	}
-	if advanced {
-		f.acked.Store(w)
-	}
+	f.acked.Advance(w)
 	if len(f.pending) > f.cfg.Reorder {
 		// A gap stalled the window past its bound — likely a record the
 		// primary admitted but never durably logged (WAL error). Tear
@@ -469,9 +489,7 @@ func (f *Follower) admitSnapshot(seq uint64, payload []byte) error {
 	if seq > f.snapSeq.Load() {
 		f.snapSeq.Store(seq)
 	}
-	if seq > f.acked.Load() {
-		f.acked.Store(seq)
-	}
+	f.acked.Advance(seq)
 	for s := range f.pending {
 		if s <= seq {
 			delete(f.pending, s)
@@ -484,6 +502,6 @@ func (f *Follower) admitSnapshot(seq uint64, payload []byte) error {
 		w++
 		delete(f.pending, w)
 	}
-	f.acked.Store(w)
+	f.acked.Advance(w)
 	return nil
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -272,5 +273,65 @@ func TestDoubleFailoverChain(t *testing.T) {
 	}
 	if srv.Fleet().Seq() != last {
 		t.Fatalf("double-promoted store at seq %d, want %d", srv.Fleet().Seq(), last)
+	}
+}
+
+// A stopped follower's watermarks can no longer move, so Stop must end
+// every wait on them at once — with an hour's timeout, only the wake-up
+// can return these — and say why. A live wait that merely runs out of
+// time keeps its old error text.
+func TestFollowerStopWakesWaiters(t *testing.T) {
+	dir := t.TempDir()
+	srv := testShard(t, filepath.Join(dir, "primary"), "s0")
+	defer srv.Close()
+	fl, err := StartFollower(FollowerConfig{Addr: srv.Addr(), Dir: filepath.Join(dir, "follower")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Stop()
+	if err := fl.waitEpoch(srv.Fleet().Epoch(), time.Hour); err != nil {
+		t.Fatalf("epoch mirror: %v", err)
+	}
+
+	err = fl.WaitForSeq(5, time.Millisecond)
+	if want := "fleet: follower watermark 0 short of 5 after 1ms"; err == nil || err.Error() != want {
+		t.Fatalf("timed-out WaitForSeq: %v, want %q", err, want)
+	}
+
+	seqErr, epochErr := make(chan error), make(chan error)
+	go func() { seqErr <- fl.WaitForSeq(5, time.Hour) }()
+	go func() { epochErr <- fl.waitEpoch(srv.Fleet().Epoch()+1, time.Hour) }()
+	if err := fl.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-seqErr; err == nil || err.Error() != "fleet: follower stopped with watermark 0 short of 5" {
+		t.Fatalf("WaitForSeq across Stop: %v", err)
+	}
+	if err := <-epochErr; err == nil || !strings.Contains(err.Error(), "follower stopped with mirrored epoch") {
+		t.Fatalf("waitEpoch across Stop: %v", err)
+	}
+}
+
+// WaitThaw returns on the phase change itself, ignores changes to
+// other fabrics, and keeps its timeout contract.
+func TestWaitThawWakesOnPhaseChange(t *testing.T) {
+	ring, err := NewRing([]string{"a", "b"}, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := NewReshardState(ring, ring, []Move{{Fabric: "f", From: "a", To: "b"}, {Fabric: "g", From: "a", To: "b"}})
+	if !rs.WaitThaw("f", 0) {
+		t.Fatal("WaitThaw on a fabric that is not frozen = false")
+	}
+	rs.setPhase("f", moveFrozen)
+	if rs.WaitThaw("f", time.Millisecond) {
+		t.Fatal("WaitThaw on a frozen fabric = true after its timeout")
+	}
+	thawed := make(chan bool)
+	go func() { thawed <- rs.WaitThaw("f", time.Hour) }()
+	rs.setPhase("g", moveFrozen) // someone else's move: f stays frozen
+	rs.setPhase("f", moveDone)
+	if !<-thawed {
+		t.Fatal("WaitThaw = false after the fabric thawed")
 	}
 }

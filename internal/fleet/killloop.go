@@ -98,7 +98,6 @@ func killLoopStoreCfg() fleetstore.Config {
 		ResolvedKeep:  1 << 14,
 		SnapshotEvery: 1 << 30,
 		SegmentBytes:  2048,
-		GroupWindow:   -1,
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"hawkeye/internal/analyzd"
 	"hawkeye/internal/fleetstore"
+	"hawkeye/internal/fleetstore/watermark"
 	"hawkeye/internal/wire"
 )
 
@@ -42,6 +43,9 @@ type ReshardState struct {
 	mu    sync.RWMutex
 	phase map[string]int32 // by fabric, for planned moves only
 	moves []Move
+	// changes counts phase transitions; a held writer blocks on the next
+	// one instead of re-reading phase on a clock.
+	changes watermark.Watermark
 }
 
 // NewReshardState captures a plan against the ring pair it came from.
@@ -99,6 +103,7 @@ func (rs *ReshardState) Done() bool {
 func (rs *ReshardState) setPhase(fabric string, p int32) {
 	rs.mu.Lock()
 	rs.phase[fabric] = p
+	rs.changes.Advance(rs.changes.Load() + 1)
 	rs.mu.Unlock()
 }
 
@@ -262,11 +267,13 @@ func (ex *Executor) executeMove(rs *ReshardState, m Move) (*MoveReport, error) {
 // passes — the hold a writer applies mid-cutover.
 func (rs *ReshardState) WaitThaw(fabric string, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
-	for rs.Frozen(fabric) {
-		if time.Now().After(deadline) {
+	for {
+		seen := rs.changes.Load()
+		if !rs.Frozen(fabric) {
+			return true
+		}
+		if !rs.changes.Wait(seen+1, deadline, nil) {
 			return false
 		}
-		time.Sleep(500 * time.Microsecond)
 	}
-	return true
 }

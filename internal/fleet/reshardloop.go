@@ -161,22 +161,6 @@ func ReshardLoop(dir string, seed uint64, cfg ReshardLoopConfig) (ReshardLoopRep
 			SemiSync:  cfg.SemiSync,
 		})
 	}
-	// waitEpochMirror blocks until the follower has durably mirrored
-	// the primary's fencing epoch — the precondition for a promotion
-	// bump to actually supersede the dead primary. WaitForSeq cannot
-	// stand in for it: a shard holding no records makes that wait
-	// vacuous before the stream's epoch announce lands.
-	waitEpochMirror := func(fl *Follower, srv *analyzd.Server) error {
-		deadline := time.Now().Add(cfg.AckTimeout)
-		for fl.Epoch() != srv.Fleet().Epoch() {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("follower mirrored epoch %d, primary at %d", fl.Epoch(), srv.Fleet().Epoch())
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		return nil
-	}
-
 	for _, name := range names {
 		srv, err := startPrimary(name, 0, false)
 		if err != nil {
@@ -188,7 +172,9 @@ func ReshardLoop(dir string, seed uint64, cfg ReshardLoopConfig) (ReshardLoopRep
 			return rep, fmt.Errorf("shard %s follower: %w", name, err)
 		}
 		shards[name] = &liveShard{name: name, srv: srv, fl: fl, gen: 1}
-		if err := waitEpochMirror(fl, srv); err != nil {
+		// The epoch too, not just the sequence: a shard holding no records
+		// makes WaitForSeq vacuous before the stream's epoch announce lands.
+		if err := fl.waitEpoch(srv.Fleet().Epoch(), cfg.AckTimeout); err != nil {
 			return rep, fmt.Errorf("shard %s: %w", name, err)
 		}
 	}
@@ -396,7 +382,7 @@ func ReshardLoop(dir string, seed uint64, cfg ReshardLoopConfig) (ReshardLoopRep
 		if err := fl.WaitForSeq(srv.Fleet().Seq(), cfg.AckTimeout); err != nil {
 			return rep, fmt.Errorf("round %d: follower catch-up %s: %w", round, name, err)
 		}
-		if err := waitEpochMirror(fl, srv); err != nil {
+		if err := fl.waitEpoch(srv.Fleet().Epoch(), cfg.AckTimeout); err != nil {
 			return rep, fmt.Errorf("round %d: shard %s: %w", round, name, err)
 		}
 	}
@@ -425,7 +411,13 @@ func ReshardLoop(dir string, seed uint64, cfg ReshardLoopConfig) (ReshardLoopRep
 	}
 
 	// Cluster health: nobody fenced, every follower's mirrored epoch
-	// agrees with its primary.
+	// agrees with its primary — in the primary's own view, which trails
+	// the follower's by the ack in flight, so wait for that ack first.
+	for _, name := range names {
+		if seq, ok := shards[name].srv.WaitFollower(cfg.AckTimeout); !ok {
+			return rep, fmt.Errorf("final: shard %s: follower ack stuck at %d", name, seq)
+		}
+	}
 	for _, st := range fd.Health() {
 		if st.Err != nil {
 			return rep, fmt.Errorf("final: health %s: %w", st.Spec.Name, st.Err)

@@ -42,6 +42,9 @@ type replState struct {
 	taps  map[*replTap]struct{}
 	count atomic.Int32
 	drops atomic.Uint64
+	// onDetach, when set, runs after a tap leaves (dropped or detached),
+	// outside mu and with count already lowered.
+	onDetach func()
 }
 
 // publish fans one entry to every tap. Callers hold the admission gate
@@ -50,6 +53,7 @@ type replState struct {
 // and stalling every admission for it would invert the design — the
 // tap is dropped instead.
 func (rs *replState) publish(e ReplEntry) {
+	dropped := false
 	rs.mu.Lock()
 	for tp := range rs.taps {
 		select {
@@ -59,19 +63,29 @@ func (rs *replState) publish(e ReplEntry) {
 			rs.count.Add(-1)
 			rs.drops.Add(1)
 			close(tp.quit)
+			dropped = true
 		}
 	}
+	hook := rs.onDetach
 	rs.mu.Unlock()
+	if dropped && hook != nil {
+		hook()
+	}
 }
 
 func (rs *replState) detach(tp *replTap) {
 	rs.mu.Lock()
-	if _, ok := rs.taps[tp]; ok {
+	_, ok := rs.taps[tp]
+	if ok {
 		delete(rs.taps, tp)
 		rs.count.Add(-1)
 		close(tp.quit)
 	}
+	hook := rs.onDetach
 	rs.mu.Unlock()
+	if ok && hook != nil {
+		hook()
+	}
 }
 
 func (rs *replState) attach(tp *replTap) {
@@ -172,6 +186,17 @@ func (st *Store) SyncReplica(fromSeq uint64, buffer int) (*ReplicaSync, error) {
 
 // Replicas counts attached replication streams.
 func (st *Store) Replicas() int { return int(st.repl.count.Load()) }
+
+// OnReplicaDetach registers fn to run whenever a replication stream
+// leaves — closed by its owner or dropped for falling behind — after
+// Replicas reflects it. It is how a semi-sync waiter learns its
+// follower is gone instead of polling Replicas. One hook; fn must not
+// block.
+func (st *Store) OnReplicaDetach(fn func()) {
+	st.repl.mu.Lock()
+	st.repl.onDetach = fn
+	st.repl.mu.Unlock()
+}
 
 // ReplDrops counts taps dropped for falling behind.
 func (st *Store) ReplDrops() uint64 { return st.repl.drops.Load() }

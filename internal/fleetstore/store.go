@@ -114,8 +114,9 @@ type Config struct {
 	SnapshotEvery int
 	// SegmentBytes rolls WAL segments at this size (default 1 MiB).
 	SegmentBytes int64
-	// GroupWindow is the WAL group-commit gather window: 0 means the
-	// 200µs default, negative means synchronous per-append fsyncs.
+	// GroupWindow is ignored: the WAL's group commit is leader-based and
+	// gathers only while an fsync is in flight, so there is no window to
+	// set (see wal.Options.GroupWindow). Kept so existing callers compile.
 	GroupWindow time.Duration
 	// NoSync skips WAL fsyncs (benchmarks only).
 	NoSync bool
@@ -331,7 +332,6 @@ func Open(dir string, cfg Config) (*Store, error) {
 	}
 	walOpts := wal.Options{
 		SegmentBytes: cfg.SegmentBytes,
-		GroupWindow:  cfg.GroupWindow,
 		NoSync:       cfg.NoSync,
 		ReadOnly:     cfg.ReadOnly,
 	}

@@ -3,8 +3,9 @@
 //
 //   - a segmented write-ahead log: fixed-framed entries ([len][crc][seq]
 //     [payload], CRC-32 over seq+payload) appended to roll-over segment
-//     files, with group-commit batching so a storm of concurrent appends
-//     costs one fsync per batch, not per record;
+//     files, with leader-based group commit so a storm of concurrent
+//     appends costs one fsync per batch, not per record, and a lone
+//     append costs exactly one;
 //   - atomic state snapshots: the store's full state serialized to a
 //     snap file (written to a temp name, fsynced, renamed), after which
 //     the segments the snapshot covers are compactable.
@@ -51,11 +52,12 @@ type Options struct {
 	// SegmentBytes rolls the active segment once it grows past this
 	// (default 1 MiB).
 	SegmentBytes int64
-	// GroupWindow is the group-commit gather window: the first append of
-	// a batch waits this long for companions before the batch is written
-	// and fsynced once. Zero defaults to 200µs; negative means fully
-	// synchronous appends (each Append writes and syncs inline — the
-	// deterministic mode tests and the crash harness use).
+	// GroupWindow is ignored. It was the group-commit gather window of
+	// the timer-driven flusher (negative selected a separate synchronous
+	// mode); group commit is now leader-based — a batch is whatever
+	// queued while the previous fsync was in flight — so there is no
+	// window and one mode. The field remains so existing callers, which
+	// set it to -1 or leave it zero, keep compiling.
 	GroupWindow time.Duration
 	// MaxBatch caps entries per group commit (default 64).
 	MaxBatch int
@@ -69,9 +71,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 1 << 20
-	}
-	if o.GroupWindow == 0 {
-		o.GroupWindow = 200 * time.Microsecond
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
@@ -100,10 +99,16 @@ type segment struct {
 	size     int64
 }
 
+// appendReq is one Append in the commit queue. wake, made only by an
+// Append that has to wait, carries exactly one signal: either a leader
+// committed the entry (done set, err final) or the previous leader
+// handed leadership over (done unset).
 type appendReq struct {
 	seq     uint64
 	payload []byte
-	done    chan error
+	wake    chan struct{}
+	done    bool
+	err     error
 }
 
 // Log is an open write-ahead log.
@@ -111,9 +116,15 @@ type Log struct {
 	dir  string
 	opts Options
 
-	// stateMu guards closed against concurrent Append/Close/Abort.
-	stateMu sync.RWMutex
-	closed  bool
+	// qmu guards the commit queue. Invariant: a non-empty queue implies
+	// committing, and queue[0] is then the current or designated leader,
+	// so every queued Append is eventually committed or failed by the
+	// leader chain. idle signals committing going false to Close/Abort.
+	qmu        sync.Mutex
+	queue      []*appendReq
+	committing bool
+	closed     bool
+	idle       *sync.Cond
 
 	// mu guards the file and segment index.
 	mu       sync.Mutex
@@ -126,9 +137,9 @@ type Log struct {
 	syncs   atomic.Uint64
 	appends atomic.Uint64
 
-	reqs        chan *appendReq
-	quit        chan struct{}
-	flusherDone chan struct{}
+	// syncHook, when set (tests only), runs under mu just before each
+	// batch fsync — the seam that makes grouping deterministic to test.
+	syncHook func()
 }
 
 func segName(firstSeq uint64) string {
@@ -162,6 +173,7 @@ func Open(dir string, opts Options, replay func(seq uint64, payload []byte) erro
 		}
 	}
 	l := &Log{dir: dir, opts: opts}
+	l.idle = sync.NewCond(&l.qmu)
 
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -213,12 +225,6 @@ func Open(dir string, opts Options, replay func(seq uint64, payload []byte) erro
 	}
 	if err := l.openActive(); err != nil {
 		return nil, stats, err
-	}
-	if opts.GroupWindow > 0 {
-		l.reqs = make(chan *appendReq, opts.MaxBatch*2)
-		l.quit = make(chan struct{})
-		l.flusherDone = make(chan struct{})
-		go l.flusher()
 	}
 	return l, stats, nil
 }
@@ -341,81 +347,62 @@ func encodeEntry(seq uint64, payload []byte) []byte {
 }
 
 // Append durably logs one entry: when it returns nil, the entry has
-// been written and fsynced (alone in synchronous mode; as part of a
-// group-commit batch otherwise) and will survive a crash. seq must be
-// strictly increasing across appends; the store's admission sequence
-// provides that.
+// been written and fsynced and will survive a crash. Group commit is
+// leader-based and waits on no clock: an Append that finds no commit in
+// flight writes and fsyncs inline; Appends arriving during that fsync
+// queue, and the first of them becomes the next leader and commits the
+// whole queue (up to MaxBatch) with one fsync. seq must be strictly
+// increasing across appends; the store's admission sequence provides
+// that.
 func (l *Log) Append(seq uint64, payload []byte) error {
 	if len(payload) > MaxEntry {
 		return fmt.Errorf("wal: entry %d bytes exceeds MaxEntry", len(payload))
 	}
-	l.stateMu.RLock()
+	req := &appendReq{seq: seq, payload: payload}
+	l.qmu.Lock()
 	if l.closed {
-		l.stateMu.RUnlock()
+		l.qmu.Unlock()
 		return ErrClosed
 	}
-	if l.reqs == nil { // synchronous mode
-		defer l.stateMu.RUnlock()
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return l.commitLocked([]*appendReq{{seq: seq, payload: payload}})
-	}
-	req := &appendReq{seq: seq, payload: payload, done: make(chan error, 1)}
-	l.reqs <- req
-	l.stateMu.RUnlock()
-	return <-req.done
-}
-
-// flusher is the group-commit loop: gather a batch over the window,
-// write it, fsync once, release every waiter.
-func (l *Log) flusher() {
-	defer close(l.flusherDone)
-	for {
-		var batch []*appendReq
-		select {
-		case req := <-l.reqs:
-			batch = append(batch, req)
-		case <-l.quit:
-			l.drainPending()
-			return
+	l.queue = append(l.queue, req)
+	if l.committing {
+		req.wake = make(chan struct{}, 1)
+		l.qmu.Unlock()
+		<-req.wake
+		if req.done {
+			return req.err
 		}
-		timer := time.NewTimer(l.opts.GroupWindow)
-	gather:
-		for len(batch) < l.opts.MaxBatch {
-			select {
-			case req := <-l.reqs:
-				batch = append(batch, req)
-			case <-timer.C:
-				break gather
-			case <-l.quit:
-				break gather
-			}
-		}
-		timer.Stop()
-		l.commitBatch(batch)
+		// Handed leadership: committing is still set, req is queue[0].
+		l.qmu.Lock()
 	}
-}
+	l.committing = true
+	n := min(len(l.queue), l.opts.MaxBatch)
+	batch := l.queue[:n:n]
+	l.queue = l.queue[n:]
+	l.qmu.Unlock()
 
-// drainPending commits whatever Close let through before flipping
-// closed; no new requests can arrive once quit is closed.
-func (l *Log) drainPending() {
-	for {
-		select {
-		case req := <-l.reqs:
-			l.commitBatch([]*appendReq{req})
-		default:
-			return
-		}
-	}
-}
-
-func (l *Log) commitBatch(batch []*appendReq) {
 	l.mu.Lock()
 	err := l.commitLocked(batch)
 	l.mu.Unlock()
-	for _, req := range batch {
-		req.done <- err
+
+	l.qmu.Lock()
+	var next *appendReq
+	if len(l.queue) > 0 {
+		next = l.queue[0]
+	} else {
+		l.queue = nil // release the drained backing array
+		l.committing = false
+		l.idle.Broadcast()
 	}
+	l.qmu.Unlock()
+	for _, r := range batch[1:] {
+		r.done, r.err = true, err
+		r.wake <- struct{}{}
+	}
+	if next != nil {
+		next.wake <- struct{}{}
+	}
+	return err
 }
 
 // commitLocked writes and fsyncs a batch under mu.
@@ -433,6 +420,9 @@ func (l *Log) commitLocked(batch []*appendReq) error {
 		l.segments[l.actSeg].lastSeq = req.seq
 		l.lastSeq.Store(req.seq)
 		l.appends.Add(1)
+	}
+	if l.syncHook != nil {
+		l.syncHook()
 	}
 	if !l.opts.NoSync {
 		if err := l.active.Sync(); err != nil {
@@ -469,20 +459,34 @@ func (l *Log) Compact(coveredSeq uint64) (removed int, err error) {
 	return removed, nil
 }
 
-// Close flushes pending appends, fsyncs and closes the active segment.
-// Idempotent.
-func (l *Log) Close() error {
-	l.stateMu.Lock()
+// stop refuses new appends; false when the log was already closed.
+func (l *Log) stop() bool {
+	l.qmu.Lock()
+	defer l.qmu.Unlock()
 	if l.closed {
-		l.stateMu.Unlock()
-		return nil
+		return false
 	}
 	l.closed = true
-	l.stateMu.Unlock()
-	if l.quit != nil {
-		close(l.quit)
-		<-l.flusherDone
+	return true
+}
+
+// settle waits out the commit chain: after stop, every Append queued
+// before it has been committed or failed by the time settle returns.
+func (l *Log) settle() {
+	l.qmu.Lock()
+	for l.committing {
+		l.idle.Wait()
 	}
+	l.qmu.Unlock()
+}
+
+// Close commits every queued append, then fsyncs and closes the active
+// segment. Idempotent.
+func (l *Log) Close() error {
+	if !l.stop() {
+		return nil
+	}
+	l.settle()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.active == nil {
@@ -502,26 +506,21 @@ func (l *Log) Close() error {
 
 // Abort simulates a crash for harnesses: the file descriptor is closed
 // with no flush and no sync, so any batch not yet acknowledged is torn
-// exactly the way a kill -9 would tear it. Acknowledged entries are
-// already on disk and unaffected.
+// exactly the way a kill -9 would tear it — its Appends return
+// ErrClosed. Acknowledged entries are already on disk and unaffected.
 func (l *Log) Abort() {
-	l.stateMu.Lock()
-	if l.closed {
-		l.stateMu.Unlock()
+	if !l.stop() {
 		return
 	}
-	l.closed = true
-	l.stateMu.Unlock()
+	// Close the descriptor before settling, so batches still queued fail
+	// instead of committing.
 	l.mu.Lock()
 	if l.active != nil {
 		l.active.Close()
 		l.active = nil
 	}
 	l.mu.Unlock()
-	if l.quit != nil {
-		close(l.quit)
-		<-l.flusherDone
-	}
+	l.settle()
 }
 
 // LastSeq is the highest sequence number durably appended or replayed.
