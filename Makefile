@@ -14,7 +14,7 @@ out=`$(GO) test -run '$(1)' $(2) 2>&1`; rc=$$?; echo "$$out"; \
 case "$$out" in *"no tests to run"*) echo "FAIL: -run '$(1)' matched no tests" >&2; exit 1;; esac
 endef
 
-.PHONY: check build vet test race no-poll sync-stress benchmark bench-fleet fleet-race chaos-smoke recovery-smoke fuzz-smoke rollup-smoke cluster-smoke reshard-smoke host-smoke
+.PHONY: check build vet test race no-poll sync-stress benchmark fleet-race chaos-smoke recovery-smoke fuzz-smoke rollup-smoke cluster-smoke reshard-smoke host-smoke
 
 # check is the CI gate: compile everything, vet, the no-poll guard,
 # full race-enabled tests, then the synchronisation-heavy packages
@@ -160,8 +160,3 @@ benchmark:
 	$(GO) vet ./benchmark
 	$(GO) test ./benchmark
 	$(GO) run ./benchmark -workload fleet_read -seconds 3
-
-# bench-fleet is the fleet store's own micro-benchmarks, for working on
-# the ingest path; nothing gates on it.
-bench-fleet:
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/fleetstore

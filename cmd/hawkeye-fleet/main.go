@@ -50,6 +50,7 @@ import (
 	"hawkeye/internal/diagnosis"
 	"hawkeye/internal/fleet"
 	"hawkeye/internal/fleetstore"
+	"hawkeye/internal/rollup"
 	"hawkeye/internal/sim"
 	"hawkeye/internal/topo"
 	"hawkeye/internal/wire"
@@ -527,7 +528,7 @@ func printSummary(s *wire.RollupSummary) {
 	printCounts("types", s.ByType)
 	printCounts("causes", s.ByCause)
 	printCounts("confidence", s.ByConfidence)
-	for _, level := range []string{"fabric", "pod", "switch", "port"} {
+	for _, level := range rollup.Levels {
 		hits := s.Top[level]
 		if len(hits) == 0 {
 			continue

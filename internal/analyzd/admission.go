@@ -59,15 +59,28 @@ const (
 	TierRollups       = "rollups"
 )
 
-// admission holds the shed thresholds and per-tier counters.
-type admission struct {
-	subscriptionsAt float64
-	queriesAt       float64
-	retryAfterMs    int64
+// tier is a verb's admission tier; tierNone is never shed.
+type tier uint8
 
-	shedSubscriptions atomic.Uint64
-	shedQueries       atomic.Uint64
-	shedRollups       atomic.Uint64
+const (
+	tierNone tier = iota
+	tierSubscriptions
+	tierQueries
+	tierRollups
+	numTiers
+)
+
+var tierNames = [numTiers]string{
+	tierSubscriptions: TierSubscriptions,
+	tierQueries:       TierQueries,
+	tierRollups:       TierRollups,
+}
+
+// admission holds the shed threshold and the shed counter of each tier.
+type admission struct {
+	at           [numTiers]float64
+	shed         [numTiers]atomic.Uint64
+	retryAfterMs int64
 }
 
 func newAdmission(subsAt, queriesAt float64, retryMs int64) *admission {
@@ -80,36 +93,22 @@ func newAdmission(subsAt, queriesAt float64, retryMs int64) *admission {
 	if retryMs <= 0 {
 		retryMs = defaultRetryAfterMs
 	}
-	return &admission{subscriptionsAt: subsAt, queriesAt: queriesAt, retryAfterMs: retryMs}
+	a := &admission{retryAfterMs: retryMs}
+	// Queries shed later than tails, because operators debugging an
+	// overload need reads longer than they need tails. Rollup tails shed
+	// with incident tails (a client can retry either) but are counted
+	// apart, so an operator can see which stream was refused.
+	a.at[tierSubscriptions] = subsAt
+	a.at[tierQueries] = queriesAt
+	a.at[tierRollups] = subsAt
+	return a
 }
 
-// admitSubscription reports whether a new live subscription may start
-// at the given queue load, counting the shed when not.
-func (a *admission) admitSubscription(load float64) bool {
-	if load >= a.subscriptionsAt {
-		a.shedSubscriptions.Add(1)
-		return false
-	}
-	return true
-}
-
-// admitQuery is admitSubscription for fleet incident queries: a higher
-// threshold, because operators debugging an overload need reads longer
-// than they need tails.
-func (a *admission) admitQuery(load float64) bool {
-	if load >= a.queriesAt {
-		a.shedQueries.Add(1)
-		return false
-	}
-	return true
-}
-
-// admitRollup gates live rollup subscriptions: same threshold as
-// incident subscriptions (both are tails a client can retry), but
-// counted separately so an operator can see which stream was refused.
-func (a *admission) admitRollup(load float64) bool {
-	if load >= a.subscriptionsAt {
-		a.shedRollups.Add(1)
+// admit reports whether a request of shed tier t (not tierNone) may
+// run at the given ingest-queue load, counting the shed when not.
+func (a *admission) admit(t tier, load float64) bool {
+	if load >= a.at[t] {
+		a.shed[t].Add(1)
 		return false
 	}
 	return true

@@ -169,14 +169,7 @@ func TestReadTimeoutDropsStalledSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	conn := rawDial(t, s.Addr())
-	h := helloFor(t, smallTopo(t))
-	if err := wire.WriteJSON(conn, wire.MsgHello, h); err != nil {
-		t.Fatal(err)
-	}
-	if mt, _, err := wire.ReadFrame(conn); err != nil || mt != wire.MsgHelloOK {
-		t.Fatalf("handshake: type=%d err=%v", mt, err)
-	}
+	conn := rawSession(t, s.Addr(), smallTopo(t))
 	// Send nothing. The server must hang up on its own.
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for {

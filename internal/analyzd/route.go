@@ -33,11 +33,10 @@ func (s *Server) fenced() bool { return s.fleet.FencedBy() != 0 }
 // serveWrite handles one writer-routed record (MsgWriteRecord):
 // fencing and moved-out checks, idempotent admission keyed by
 // fabric+OriginSeq, then a semi-sync follower wait before the ack.
-func (s *Server) serveWrite(sess *session, payload []byte, sendErr func(string)) bool {
+func (s *Server) serveWrite(sess *session, payload []byte) bool {
 	wr, err := wire.ParseWriteRequest(payload)
 	if err != nil {
-		s.decodeErrors.Add(1)
-		return s.strike(sess)
+		return s.badPayload(sess, err)
 	}
 	// A writer carrying a higher epoch than ours proves a promotion we
 	// missed: demote durably before refusing.
@@ -49,7 +48,7 @@ func (s *Server) serveWrite(sess *session, payload []byte, sendErr func(string))
 		return false
 	}
 	if s.handoff.Load() {
-		sendErr("shard draining: ingest refused")
+		sess.sendErr("shard draining: ingest refused")
 		return false
 	}
 	if s.fleet.MovedOut(wr.Fabric) {
@@ -60,8 +59,7 @@ func (s *Server) serveWrite(sess *session, payload []byte, sendErr func(string))
 	}
 	var rec fleetstore.Record
 	if err := json.Unmarshal(wr.Record, &rec); err != nil {
-		s.decodeErrors.Add(1)
-		return s.strike(sess)
+		return s.badPayload(sess, err)
 	}
 	rec.Fabric = wr.Fabric
 	rec.OriginSeq = wr.OriginSeq
@@ -81,7 +79,7 @@ func (s *Server) serveWrite(sess *session, payload []byte, sendErr func(string))
 		// current watermark — a duplicate ack must be as durable a promise
 		// as the original would have been.
 		if !s.waitSemiSync(s.fleet.Seq()) {
-			sendErr("semi-sync: follower lagging, write not acknowledged")
+			sess.sendErr("semi-sync: follower lagging, write not acknowledged")
 			return true
 		}
 		return sess.writeJSON(wire.MsgWriteAck, wire.WriteAck{
@@ -91,7 +89,7 @@ func (s *Server) serveWrite(sess *session, payload []byte, sendErr func(string))
 	if !s.waitSemiSync(admitted.Seq) {
 		// Admitted but not replicated in time: no ack. The writer resends
 		// the same OriginSeq and dedup keeps the store exactly-once.
-		sendErr("semi-sync: follower lagging, write not acknowledged")
+		sess.sendErr("semi-sync: follower lagging, write not acknowledged")
 		return true
 	}
 	// Re-check the fence after the wait: a write that raced a promotion
@@ -131,8 +129,7 @@ func (s *Server) awaitFollower(w *watermark.Watermark, target uint64, deadline t
 func (s *Server) serveEpochAnnounce(sess *session, payload []byte) bool {
 	ea, err := wire.ParseEpochAnnounce(payload)
 	if err != nil {
-		s.decodeErrors.Add(1)
-		return s.strike(sess)
+		return s.badPayload(sess, err)
 	}
 	if (ea.Shard == s.shard || s.shard == "") && ea.Epoch > s.fleet.Epoch() {
 		_ = s.fleet.NoteFence(ea.Epoch)
@@ -149,11 +146,10 @@ func (s *Server) serveEpochAnnounce(sess *session, payload []byte) bool {
 // full-fabric dump. Records are returned in trigger-time order with
 // their writer-idempotency sequences intact, so the copy to the new
 // owner preserves dedup across the move.
-func (s *Server) serveRecordQuery(sess *session, payload []byte, sendErr func(string)) bool {
+func (s *Server) serveRecordQuery(sess *session, payload []byte) bool {
 	rq, err := wire.ParseRecordQuery(payload)
 	if err != nil {
-		sendErr(fmt.Sprintf("bad record query: %v", err))
-		return false
+		return s.badPayload(sess, err)
 	}
 	s.pipe.Drain()
 	recs := s.fleet.Records(fleetstore.Query{
@@ -165,7 +161,7 @@ func (s *Server) serveRecordQuery(sess *session, payload []byte, sendErr func(st
 	for i := range recs {
 		data, err := json.Marshal(&recs[i])
 		if err != nil {
-			sendErr(fmt.Sprintf("encode record: %v", err))
+			sess.sendErr(fmt.Sprintf("encode record: %v", err))
 			return false
 		}
 		dump.Records = append(dump.Records, data)
@@ -182,11 +178,10 @@ func (s *Server) serveRecordQuery(sess *session, payload []byte, sendErr func(st
 // observer so copied records land in proper panes, bump + announce +
 // checkpoint. Fenced shards refuse; a cutover must never be executed
 // by a superseded primary.
-func (s *Server) serveCutover(sess *session, payload []byte, sendErr func(string)) bool {
+func (s *Server) serveCutover(sess *session, payload []byte) bool {
 	cr, err := wire.ParseCutover(payload)
 	if err != nil {
-		sendErr(fmt.Sprintf("bad cutover request: %v", err))
-		return false
+		return s.badPayload(sess, err)
 	}
 	if s.fenced() {
 		_ = sess.writeJSON(wire.MsgFence, s.fenceInfo())
@@ -205,24 +200,24 @@ func (s *Server) serveCutover(sess *session, payload []byte, sendErr func(string
 	case wire.CutoverRelease:
 		n, err := s.fleet.PurgeFabric(cr.Fabric)
 		if err != nil {
-			sendErr(fmt.Sprintf("cutover release: %v", err))
+			sess.sendErr(fmt.Sprintf("cutover release: %v", err))
 			return false
 		}
 		reply.Purged = n
 	case wire.CutoverAdopt:
 		if err := s.fleet.AdoptFabric(cr.Fabric); err != nil {
-			sendErr(fmt.Sprintf("cutover adopt: %v", err))
+			sess.sendErr(fmt.Sprintf("cutover adopt: %v", err))
 			return false
 		}
 	}
 	epoch, err := s.fleet.BumpEpoch()
 	if err != nil {
-		sendErr(fmt.Sprintf("cutover epoch: %v", err))
+		sess.sendErr(fmt.Sprintf("cutover epoch: %v", err))
 		return false
 	}
 	s.fleet.AnnounceEpoch(epoch)
 	if err := s.fleet.Checkpoint(); err != nil {
-		sendErr(fmt.Sprintf("cutover checkpoint: %v", err))
+		sess.sendErr(fmt.Sprintf("cutover checkpoint: %v", err))
 		return false
 	}
 	reply.Epoch = epoch

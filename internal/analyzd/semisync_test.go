@@ -47,17 +47,8 @@ type scriptedFollower struct {
 // waits for is written after SyncReplica), so Replicas() is 1.
 func attachFollower(t *testing.T, srv *Server) *scriptedFollower {
 	t.Helper()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	f := &scriptedFollower{t: t, conn: conn}
-	if err := wire.WriteJSON(conn, wire.MsgHello, wire.Hello{Version: wire.ProtocolVersion}); err != nil {
-		t.Fatal(err)
-	}
-	f.expect(wire.MsgHelloOK)
-	if err := wire.WriteJSON(conn, wire.MsgReplicate, wire.ReplicateRequest{}); err != nil {
+	f := &scriptedFollower{t: t, conn: rawSession(t, srv.Addr(), nil)}
+	if err := wire.WriteJSON(f.conn, wire.MsgReplicate, wire.ReplicateRequest{}); err != nil {
 		t.Fatal(err)
 	}
 	f.expect(wire.MsgEpoch)

@@ -121,13 +121,14 @@ type Server struct {
 	// state is the lifecycle phase (State values).
 	state atomic.Int32
 
-	// mu guards the connection map only; the counters below are
-	// atomics so hot-path accounting never contends with accept/close.
+	// mu guards the connection map and closed, which Close sets when
+	// its drain begins; the counters below are atomics so hot-path
+	// accounting never contends with accept/close.
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
 	// acceptWG tracks the accept loop, wg the session handlers, fwdWG
-	// the subscription forwarders — Close drains them in that order so
+	// the stream forwarders (spawn) — Close drains them in that order so
 	// no goroutine touches a structure torn down before it exits.
 	acceptWG sync.WaitGroup
 	wg       sync.WaitGroup
@@ -316,8 +317,8 @@ func (s *Server) Stats() Stats {
 		Incidents:         fc.Incidents,
 		OpenIncidents:     fc.OpenIncidents,
 		EventsDropped:     fc.EventsDropped,
-		ShedSubscriptions: s.adm.shedSubscriptions.Load(),
-		ShedQueries:       s.adm.shedQueries.Load(),
+		ShedSubscriptions: s.adm.shed[tierSubscriptions].Load(),
+		ShedQueries:       s.adm.shed[tierQueries].Load(),
 		WALErrors:         fc.WALErrors,
 		Replayed:          s.fleet.ReplayedRecords(),
 
@@ -332,7 +333,7 @@ func (s *Server) Stats() Stats {
 		RollupEvictions:     rs.Evictions,
 		RollupBytes:         rs.BytesInUse,
 		RollupEventsDropped: rs.EventsDropped,
-		ShedRollups:         s.adm.shedRollups.Load(),
+		ShedRollups:         s.adm.shed[tierRollups].Load(),
 	}
 }
 
@@ -386,8 +387,11 @@ func (s *Server) Close() error {
 		s.roll.CloseSubscribers()
 		// Detach replication taps: their forwarders see Done close, tell
 		// the follower goodbye and exit — the follower re-syncs from its
-		// durable watermark against whichever shard is promoted.
+		// durable watermark against whichever shard is promoted. Marking
+		// the server closed here stops new forwarders (spawn), so the
+		// wait below covers every one.
 		s.mu.Lock()
+		s.closed = true
 		for r := range s.repls {
 			r.Close()
 		}
@@ -401,7 +405,6 @@ func (s *Server) Close() error {
 		s.fwdWG.Wait()
 		// 3. Tear down the sessions and wait for their handlers.
 		s.mu.Lock()
-		s.closed = true
 		for c := range s.conns {
 			c.Close()
 		}
@@ -497,6 +500,9 @@ type session struct {
 	// repl is the replication stream, once MsgReplicate turned this
 	// session into a follower feed.
 	repl *fleetstore.ReplicaSync
+	// verb is the registration of the frame being served, so a handler's
+	// bad payload gets its verb's policy (badPayload).
+	verb *verb
 }
 
 func (sess *session) write(t wire.MsgType, payload []byte) error {
@@ -517,9 +523,10 @@ func (sess *session) writeJSON(t wire.MsgType, v any) error {
 	return sess.write(t, data)
 }
 
+func (sess *session) sendErr(msg string) { _ = sess.write(wire.MsgError, []byte(msg)) }
+
 func (s *Server) handle(conn net.Conn) {
 	sess := &session{conn: conn, writeTimeout: s.writeTimeout}
-	sendErr := func(msg string) { _ = sess.write(wire.MsgError, []byte(msg)) }
 	// readFrame applies the per-frame read deadline: a peer that stops
 	// mid-frame (or never sends one) is cut loose instead of pinning a
 	// handler goroutine forever.
@@ -539,12 +546,12 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	if t != wire.MsgHello {
-		sendErr("expected hello")
+		sess.sendErr("expected hello")
 		return
 	}
 	hello, err := wire.ParseHello(payload)
 	if err != nil {
-		sendErr(err.Error())
+		sess.sendErr(err.Error())
 		return
 	}
 	sess.fabric = hello.Fabric
@@ -555,12 +562,12 @@ func (s *Server) handle(conn net.Conn) {
 	// subscribe but carries no fabric of its own.
 	if len(hello.Topo) > 0 && string(hello.Topo) != "null" {
 		if hello.EpochNS <= 0 {
-			sendErr("non-positive telemetry epoch")
+			sess.sendErr("non-positive telemetry epoch")
 			return
 		}
 		tp, err := topo.ParseSpecJSON(hello.Topo)
 		if err != nil {
-			sendErr(fmt.Sprintf("bad topology: %v", err))
+			sess.sendErr(fmt.Sprintf("bad topology: %v", err))
 			return
 		}
 		sess.topo = tp
@@ -594,11 +601,11 @@ func (s *Server) handle(conn net.Conn) {
 		t, payload, err := readFrame()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				sendErr(err.Error())
+				sess.sendErr(err.Error())
 			}
 			return
 		}
-		if !s.serve(sess, t, payload, sendErr) {
+		if !s.serve(sess, t, payload) {
 			return
 		}
 	}
@@ -621,321 +628,367 @@ func (s *Server) strike(sess *session) bool {
 	return true
 }
 
-// throttle refuses a sheddable request with a backpressure reply; the
-// session stays alive — the client backs off and retries.
-func (s *Server) throttle(sess *session, tier string) bool {
-	err := sess.writeJSON(wire.MsgThrottle, wire.Throttle{
-		Tier:         tier,
-		RetryAfterMs: s.adm.retryAfterMs,
-	})
-	return err == nil
+// verb is the one registration of a client→server message type.
+type verb struct {
+	// fabricOnly, when set, makes the verb need a fabric session (one
+	// whose handshake carried a topology); an operator session sending
+	// it is told "operator session cannot <fabricOnly>" and dropped.
+	fabricOnly string
+	// tier is the admission tier that sheds the verb under ingest
+	// pressure.
+	tier tier
+	// push verbs have no reply slot: an unsolicited frame back would be
+	// misread as the answer to the session's next request. The rest are
+	// request verbs, and are answered.
+	push bool
+	// payload names a request verb's body in its bad-payload answer,
+	// "bad <payload>: <error>".
+	payload string
+	// handle serves one admitted frame; false ends the session.
+	handle func(*Server, *session, []byte) bool
 }
 
-// serve dispatches one request frame; false ends the session.
-func (s *Server) serve(sess *session, t wire.MsgType, payload []byte, sendErr func(string)) bool {
-	switch t {
-	case wire.MsgReport:
-		if sess.topo == nil {
-			sendErr("operator session cannot push reports")
-			return false
-		}
-		rep := &telemetry.Report{}
-		if err := rep.UnmarshalBinary(payload); err != nil {
-			s.decodeErrors.Add(1)
-			return s.strike(sess)
-		}
-		if err := sess.validator.CheckReport(rep); err != nil {
-			s.rejectedReports.Add(1)
-			var re *wire.ReportError
-			if errors.As(err, &re) && re.SwitchKnown {
-				sess.rejected[re.Switch]++
-			} else {
-				sess.rejectedUnknown++
-			}
-			return s.strike(sess)
-		}
-		if n := telemetry.SanitizeReport(rep, sess.lim); n > 0 {
-			s.clampedValues.Add(uint64(n))
-			sess.clamped += n
-		}
-		sess.reports[rep.Switch] = rep
-		s.reports.Add(1)
-	case wire.MsgHostReport:
-		if sess.topo == nil {
-			sendErr("operator session cannot push host reports")
-			return false
-		}
-		hr := &telemetry.HostReport{}
-		if err := hr.UnmarshalBinary(payload); err != nil {
-			s.decodeErrors.Add(1)
-			return s.strike(sess)
-		}
-		if err := sess.validator.CheckHostReport(hr); err != nil {
-			s.rejectedHostReports.Add(1)
-			var re *wire.ReportError
-			if errors.As(err, &re) && re.SwitchKnown {
-				sess.hostRejected[re.Switch]++
-			} else {
-				sess.hostRejectedUnknown++
-			}
-			return s.strike(sess)
-		}
-		if n := telemetry.SanitizeHostReport(hr, telemetry.HostLimitsFor(sess.topo.LinkBandwidth)); n > 0 {
-			s.clampedValues.Add(uint64(n))
-			sess.clamped += n
-		}
-		sess.hostReports[hr.Host] = hr
-		s.hostReports.Add(1)
-	case wire.MsgDiagnose:
-		// Never shed: a refused diagnosis loses the complaint and its
-		// provenance evidence; the tiers above it absorb overload first.
-		if sess.topo == nil {
-			sendErr("operator session cannot diagnose")
-			return false
-		}
-		// A fenced shard stops acking ingest on every path, not just the
-		// writer-routed one.
-		if s.fenced() {
-			_ = sess.writeJSON(wire.MsgFence, s.fenceInfo())
-			return false
-		}
-		victim, atNS, err := wire.DecodeDiagnoseRequest(payload)
-		if err != nil {
-			sendErr(fmt.Sprintf("bad diagnose request: %v", err))
-			return false
-		}
-		reply := s.diagnose(sess, victim, atNS)
-		if err := sess.writeJSON(wire.MsgDiagnosis, reply); err != nil {
-			return false
-		}
-		s.diagnoses.Add(1)
-	case wire.MsgIncidents:
-		incs := core.GroupIncidents(sess.history, incidentWindow)
-		out := make([]wire.IncidentSummary, 0, len(incs))
-		for _, inc := range incs {
-			out = append(out, wire.IncidentSummary{
-				Type:       inc.Type.String(),
-				Complaints: len(inc.Results),
-				Victims:    inc.Victims(),
-				FirstNS:    int64(inc.First),
-				LastNS:     int64(inc.Last),
-				Rendered:   inc.Primary().Diagnosis.String(),
-			})
-		}
-		if err := sess.writeJSON(wire.MsgIncidentList, out); err != nil {
-			return false
-		}
-	case wire.MsgQueryIncidents:
-		if !s.adm.admitQuery(s.pipe.Load()) {
-			return s.throttle(sess, TierQueries)
-		}
-		var wq wire.IncidentQuery
-		if err := json.Unmarshal(payload, &wq); err != nil {
-			sendErr(fmt.Sprintf("bad incident query: %v", err))
-			return false
-		}
-		q, err := queryFromWire(wq)
-		if err != nil {
-			sendErr(err.Error())
-			return false
-		}
-		// Read-your-writes: settle the ingest queue before answering.
-		s.pipe.Drain()
-		incs := s.fleet.Incidents(q)
-		out := make([]wire.FleetIncident, 0, len(incs))
-		for i := range incs {
-			out = append(out, incidentToWire(&incs[i]))
-		}
-		if err := sess.writeJSON(wire.MsgIncidentMatches, out); err != nil {
-			return false
-		}
-	case wire.MsgSubscribe:
-		if !s.adm.admitSubscription(s.pipe.Load()) {
-			return s.throttle(sess, TierSubscriptions)
-		}
-		var req wire.SubscribeRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			sendErr(fmt.Sprintf("bad subscribe request: %v", err))
-			return false
-		}
-		f, err := filterFromWire(req)
-		if err != nil {
-			sendErr(err.Error())
-			return false
-		}
-		if sess.sub != nil {
-			sendErr("already subscribed")
-			return false
-		}
-		sess.sub = s.fleet.Hub().Subscribe(f, 0)
-		if err := sess.write(wire.MsgSubscribeOK, nil); err != nil {
-			return false
-		}
-		s.fwdWG.Add(1)
-		go s.forwardEvents(sess)
-	case wire.MsgQueryRollups:
-		// Rollup queries shed with the incident-query tier: both are
-		// operator reads against settled state.
-		if !s.adm.admitQuery(s.pipe.Load()) {
-			return s.throttle(sess, TierQueries)
-		}
-		var wq wire.RollupQuery
-		if err := json.Unmarshal(payload, &wq); err != nil {
-			sendErr(fmt.Sprintf("bad rollup query: %v", err))
-			return false
-		}
-		q, err := rollupQueryFromWire(wq)
-		if err != nil {
-			sendErr(err.Error())
-			return false
-		}
-		// Read-your-writes: settle the ingest queue before answering.
-		s.pipe.Drain()
-		res := s.roll.Query(q)
-		if err := sess.writeJSON(wire.MsgRollupList, rollupResultToWire(res)); err != nil {
-			return false
-		}
-	case wire.MsgSubscribeRollups:
-		if !s.adm.admitRollup(s.pipe.Load()) {
-			return s.throttle(sess, TierRollups)
-		}
-		var req wire.RollupSubscribeRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			sendErr(fmt.Sprintf("bad rollup subscribe request: %v", err))
-			return false
-		}
-		if sess.rsub != nil {
-			sendErr("already subscribed to rollups")
-			return false
-		}
-		sess.rsub = s.roll.Subscribe(req.ClosedOnly, 0)
-		if err := sess.write(wire.MsgSubscribeOK, nil); err != nil {
-			return false
-		}
-		s.fwdWG.Add(1)
-		go s.forwardRollups(sess)
-	case wire.MsgHealth:
-		// Health is answered in every lifecycle state and on every
-		// session kind: it is how supervisors watch the drain.
-		if err := sess.writeJSON(wire.MsgHealthReply, s.health()); err != nil {
-			return false
-		}
-	case wire.MsgReplicate:
-		var req wire.ReplicateRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			sendErr(fmt.Sprintf("bad replicate request: %v", err))
-			return false
-		}
-		if sess.repl != nil {
-			sendErr("already replicating")
-			return false
-		}
-		// A follower carrying a higher mirrored epoch means a promotion
-		// happened while this primary was away: demote durably and refuse
-		// with the typed fence so the follower looks elsewhere.
-		if req.Epoch > s.fleet.Epoch() {
-			_ = s.fleet.NoteFence(req.Epoch)
-			_ = sess.writeJSON(wire.MsgFence, wire.FenceInfo{
-				Shard: s.shard, Epoch: s.fleet.Epoch(), Observed: req.Epoch, Fenced: true,
-			})
-			return false
-		}
-		r, err := s.fleet.SyncReplica(req.FromSeq, s.replBuffer)
-		if err != nil {
-			sendErr(fmt.Sprintf("replicate: %v", err))
-			return false
-		}
-		// Announce our epoch ahead of the catch-up so the follower
-		// mirrors it durably before acking anything on this stream.
-		if err := sess.writeJSON(wire.MsgEpoch, wire.EpochAnnounce{Shard: s.shard, Epoch: s.fleet.Epoch()}); err != nil {
-			r.Close()
-			return false
-		}
-		// Catch-up inline, in order, before the live forwarder starts:
-		// the tap was registered under the same cut, so the follower
-		// sees exactly the admission sequence.
-		if r.Snapshot != nil {
-			if err := sess.write(wire.MsgReplSnapshot, wire.EncodeReplSnapshot(r.SnapshotSeq, r.Snapshot)); err != nil {
-				r.Close()
-				return false
-			}
-		}
-		for _, e := range r.Backlog {
-			if err := sess.write(wire.MsgReplRecord, wire.EncodeReplRecord(e.Seq, e.Payload)); err != nil {
-				r.Close()
-				return false
-			}
-		}
-		sess.repl = r
-		s.mu.Lock()
-		s.repls[r] = struct{}{}
-		s.mu.Unlock()
-		s.fwdWG.Add(1)
-		go s.forwardRepl(sess)
-	case wire.MsgReplAck:
-		var ack wire.ReplAck
-		if err := json.Unmarshal(payload, &ack); err != nil {
-			s.decodeErrors.Add(1)
-			return s.strike(sess)
-		}
-		s.followerSeq.Advance(ack.Seq)
-		s.followerEpoch.Advance(ack.Epoch)
-	case wire.MsgShardInfo:
-		if err := sess.writeJSON(wire.MsgShardInfoReply, s.shardInfo()); err != nil {
-			return false
-		}
-	case wire.MsgWriteRecord:
-		return s.serveWrite(sess, payload, sendErr)
-	case wire.MsgEpoch:
-		return s.serveEpochAnnounce(sess, payload)
-	case wire.MsgQueryRecords:
-		return s.serveRecordQuery(sess, payload, sendErr)
-	case wire.MsgCutover:
-		return s.serveCutover(sess, payload, sendErr)
-	default:
-		sendErr(fmt.Sprintf("unexpected message type %d", t))
+// verbs registers every verb a client may send after the handshake,
+// indexed by message type. Unregistered types, server→client ones
+// included, are refused with "unexpected message type N".
+var verbs = [...]verb{
+	wire.MsgReport:     {fabricOnly: "push reports", push: true, handle: (*Server).serveReport},
+	wire.MsgHostReport: {fabricOnly: "push host reports", push: true, handle: (*Server).serveHostReport},
+	// Diagnosis ingest is never shed: a refused diagnosis loses the
+	// complaint and its provenance evidence; the tiers absorb overload
+	// first.
+	wire.MsgDiagnose:       {fabricOnly: "diagnose", payload: "diagnose request", handle: (*Server).serveDiagnose},
+	wire.MsgIncidents:      {handle: (*Server).serveIncidents},
+	wire.MsgQueryIncidents: {tier: tierQueries, payload: "incident query", handle: (*Server).serveIncidentQuery},
+	wire.MsgSubscribe:      {tier: tierSubscriptions, payload: "subscribe request", handle: (*Server).serveSubscribe},
+	// Rollup queries shed with incident queries: both are operator
+	// reads against settled state.
+	wire.MsgQueryRollups:     {tier: tierQueries, payload: "rollup query", handle: (*Server).serveRollupQuery},
+	wire.MsgSubscribeRollups: {tier: tierRollups, payload: "rollup subscribe request", handle: (*Server).serveRollupSubscribe},
+	wire.MsgHealth:           {handle: (*Server).serveHealth},
+	wire.MsgReplicate:        {payload: "replicate request", handle: (*Server).serveReplicate},
+	wire.MsgReplAck:          {push: true, handle: (*Server).serveReplAck},
+	wire.MsgShardInfo:        {handle: (*Server).serveShardInfo},
+	wire.MsgWriteRecord:      {payload: "write request", handle: (*Server).serveWrite},
+	wire.MsgEpoch:            {payload: "epoch announce", handle: (*Server).serveEpochAnnounce},
+	wire.MsgQueryRecords:     {payload: "record query", handle: (*Server).serveRecordQuery},
+	wire.MsgCutover:          {payload: "cutover request", handle: (*Server).serveCutover},
+}
+
+// serve dispatches one request frame through the verb table; false
+// ends the session. The session-kind gate and the admission tier are
+// applied here, the same way for every verb.
+func (s *Server) serve(sess *session, t wire.MsgType, payload []byte) bool {
+	if int(t) >= len(verbs) || verbs[t].handle == nil {
+		sess.sendErr(fmt.Sprintf("unexpected message type %d", t))
 		return false
 	}
+	v := &verbs[t]
+	if v.fabricOnly != "" && sess.topo == nil {
+		sess.sendErr("operator session cannot " + v.fabricOnly)
+		return false
+	}
+	if v.tier != tierNone && !s.adm.admit(v.tier, s.pipe.Load()) {
+		// Shed with a backpressure reply; the session stays alive — the
+		// client backs off and retries.
+		return sess.writeJSON(wire.MsgThrottle, wire.Throttle{
+			Tier:         tierNames[v.tier],
+			RetryAfterMs: s.adm.retryAfterMs,
+		}) == nil
+	}
+	sess.verb = v
+	return v.handle(s, sess, payload)
+}
+
+// badPayload is the policy for a frame whose payload fails decode, and
+// the verb's reply slot decides it. Either way it counts as a decode
+// error. A push verb strikes silently; a request verb's client is
+// waiting for an answer, so it is told "bad <payload>: <err>" and the
+// session ends.
+func (s *Server) badPayload(sess *session, err error) bool {
+	s.decodeErrors.Add(1)
+	if sess.verb.push {
+		return s.strike(sess)
+	}
+	sess.sendErr(fmt.Sprintf("bad %s: %v", sess.verb.payload, err))
+	return false
+}
+
+// serveReport admits one switch report: validated against the
+// handshake topology, clamped to line-rate limits, and kept as the
+// switch's freshest.
+func (s *Server) serveReport(sess *session, payload []byte) bool {
+	rep := &telemetry.Report{}
+	if err := rep.UnmarshalBinary(payload); err != nil {
+		return s.badPayload(sess, err)
+	}
+	if err := sess.validator.CheckReport(rep); err != nil {
+		s.rejectedReports.Add(1)
+		var re *wire.ReportError
+		if errors.As(err, &re) && re.SwitchKnown {
+			sess.rejected[re.Switch]++
+		} else {
+			sess.rejectedUnknown++
+		}
+		return s.strike(sess)
+	}
+	if n := telemetry.SanitizeReport(rep, sess.lim); n > 0 {
+		s.clampedValues.Add(uint64(n))
+		sess.clamped += n
+	}
+	sess.reports[rep.Switch] = rep
+	s.reports.Add(1)
 	return true
 }
 
-// forwardEvents streams the session's subscription to its connection.
-// It exits when the hub closes the subscription (session teardown or
-// server drain) or the connection dies; on a drain it pushes the
-// terminal shutdown frame so the tail learns the difference between
-// "server going away" and "connection lost".
-func (s *Server) forwardEvents(sess *session) {
-	defer s.fwdWG.Done()
-	for ev := range sess.sub.Events() {
-		if err := sess.writeJSON(wire.MsgIncidentEvent, eventToWire(&ev)); err != nil {
-			sess.conn.Close() // unblock the read loop; it unsubscribes
-			return
+// serveHostReport is serveReport for host-agent counter snapshots.
+func (s *Server) serveHostReport(sess *session, payload []byte) bool {
+	hr := &telemetry.HostReport{}
+	if err := hr.UnmarshalBinary(payload); err != nil {
+		return s.badPayload(sess, err)
+	}
+	if err := sess.validator.CheckHostReport(hr); err != nil {
+		s.rejectedHostReports.Add(1)
+		var re *wire.ReportError
+		if errors.As(err, &re) && re.SwitchKnown {
+			sess.hostRejected[re.Switch]++
+		} else {
+			sess.hostRejectedUnknown++
 		}
+		return s.strike(sess)
 	}
-	if s.State() == StateDraining {
-		// Bound the goodbye: a wedged subscriber must not stall Close.
-		_ = sess.conn.SetWriteDeadline(time.Now().Add(drainDeadline))
-		_ = sess.write(wire.MsgShutdown, nil)
-		_ = sess.conn.SetWriteDeadline(time.Time{})
+	if n := telemetry.SanitizeHostReport(hr, telemetry.HostLimitsFor(sess.topo.LinkBandwidth)); n > 0 {
+		s.clampedValues.Add(uint64(n))
+		sess.clamped += n
 	}
+	sess.hostReports[hr.Host] = hr
+	s.hostReports.Add(1)
+	return true
 }
 
-// forwardRollups is forwardEvents for the rollup stream: it pushes
-// window summaries until the subscription closes (session teardown or
-// server drain), then tells a draining tail goodbye.
-func (s *Server) forwardRollups(sess *session) {
-	defer s.fwdWG.Done()
-	for ev := range sess.rsub.Events() {
-		if err := sess.writeJSON(wire.MsgRollupEvent, rollupEventToWire(&ev)); err != nil {
+func (s *Server) serveDiagnose(sess *session, payload []byte) bool {
+	// A fenced shard stops acking ingest on every path, not just the
+	// writer-routed one.
+	if s.fenced() {
+		_ = sess.writeJSON(wire.MsgFence, s.fenceInfo())
+		return false
+	}
+	victim, atNS, err := wire.DecodeDiagnoseRequest(payload)
+	if err != nil {
+		return s.badPayload(sess, err)
+	}
+	reply := s.diagnose(sess, victim, atNS)
+	// Counted before the reply goes out, so a client holding its verdict
+	// never reads a count that misses it.
+	s.diagnoses.Add(1)
+	return sess.writeJSON(wire.MsgDiagnosis, reply) == nil
+}
+
+func (s *Server) serveIncidents(sess *session, _ []byte) bool {
+	incs := core.GroupIncidents(sess.history, incidentWindow)
+	out := make([]wire.IncidentSummary, 0, len(incs))
+	for _, inc := range incs {
+		out = append(out, wire.IncidentSummary{
+			Type:       inc.Type.String(),
+			Complaints: len(inc.Results),
+			Victims:    inc.Victims(),
+			FirstNS:    int64(inc.First),
+			LastNS:     int64(inc.Last),
+			Rendered:   inc.Primary().Diagnosis.String(),
+		})
+	}
+	return sess.writeJSON(wire.MsgIncidentList, out) == nil
+}
+
+func (s *Server) serveIncidentQuery(sess *session, payload []byte) bool {
+	var wq wire.IncidentQuery
+	if err := json.Unmarshal(payload, &wq); err != nil {
+		return s.badPayload(sess, err)
+	}
+	q, err := queryFromWire(wq)
+	if err != nil {
+		sess.sendErr(err.Error())
+		return false
+	}
+	// Read-your-writes: settle the ingest queue before answering.
+	s.pipe.Drain()
+	incs := s.fleet.Incidents(q)
+	out := make([]wire.FleetIncident, 0, len(incs))
+	for i := range incs {
+		out = append(out, incidentToWire(&incs[i]))
+	}
+	return sess.writeJSON(wire.MsgIncidentMatches, out) == nil
+}
+
+func (s *Server) serveSubscribe(sess *session, payload []byte) bool {
+	var req wire.SubscribeRequest
+	if err := json.Unmarshal(payload, &req); err != nil {
+		return s.badPayload(sess, err)
+	}
+	f, err := filterFromWire(req)
+	if err != nil {
+		sess.sendErr(err.Error())
+		return false
+	}
+	if sess.sub != nil {
+		sess.sendErr("already subscribed")
+		return false
+	}
+	sess.sub = s.fleet.Hub().Subscribe(f, 0)
+	if err := sess.write(wire.MsgSubscribeOK, nil); err != nil {
+		return false
+	}
+	return s.spawn(func() { forward(s, sess, sess.sub.Events(), wire.MsgIncidentEvent, eventToWire) })
+}
+
+func (s *Server) serveRollupQuery(sess *session, payload []byte) bool {
+	var wq wire.RollupQuery
+	if err := json.Unmarshal(payload, &wq); err != nil {
+		return s.badPayload(sess, err)
+	}
+	q, err := rollupQueryFromWire(wq)
+	if err != nil {
+		sess.sendErr(err.Error())
+		return false
+	}
+	// Read-your-writes: settle the ingest queue before answering.
+	s.pipe.Drain()
+	res := s.roll.Query(q)
+	return sess.writeJSON(wire.MsgRollupList, rollupResultToWire(res)) == nil
+}
+
+func (s *Server) serveRollupSubscribe(sess *session, payload []byte) bool {
+	var req wire.RollupSubscribeRequest
+	if err := json.Unmarshal(payload, &req); err != nil {
+		return s.badPayload(sess, err)
+	}
+	if sess.rsub != nil {
+		sess.sendErr("already subscribed to rollups")
+		return false
+	}
+	sess.rsub = s.roll.Subscribe(req.ClosedOnly, 0)
+	if err := sess.write(wire.MsgSubscribeOK, nil); err != nil {
+		return false
+	}
+	return s.spawn(func() { forward(s, sess, sess.rsub.Events(), wire.MsgRollupEvent, rollupEventToWire) })
+}
+
+// serveHealth is answered in every lifecycle state and on every session
+// kind: it is how supervisors watch the drain.
+func (s *Server) serveHealth(sess *session, _ []byte) bool {
+	return sess.writeJSON(wire.MsgHealthReply, s.health()) == nil
+}
+
+func (s *Server) serveReplicate(sess *session, payload []byte) bool {
+	var req wire.ReplicateRequest
+	if err := json.Unmarshal(payload, &req); err != nil {
+		return s.badPayload(sess, err)
+	}
+	if sess.repl != nil {
+		sess.sendErr("already replicating")
+		return false
+	}
+	// A follower carrying a higher mirrored epoch means a promotion
+	// happened while this primary was away: demote durably and refuse
+	// with the typed fence so the follower looks elsewhere.
+	if req.Epoch > s.fleet.Epoch() {
+		_ = s.fleet.NoteFence(req.Epoch)
+		_ = sess.writeJSON(wire.MsgFence, wire.FenceInfo{
+			Shard: s.shard, Epoch: s.fleet.Epoch(), Observed: req.Epoch, Fenced: true,
+		})
+		return false
+	}
+	r, err := s.fleet.SyncReplica(req.FromSeq, s.replBuffer)
+	if err != nil {
+		sess.sendErr(fmt.Sprintf("replicate: %v", err))
+		return false
+	}
+	// Announce our epoch ahead of the catch-up so the follower
+	// mirrors it durably before acking anything on this stream.
+	if err := sess.writeJSON(wire.MsgEpoch, wire.EpochAnnounce{Shard: s.shard, Epoch: s.fleet.Epoch()}); err != nil {
+		r.Close()
+		return false
+	}
+	// Catch-up inline, in order, before the live forwarder starts:
+	// the tap was registered under the same cut, so the follower
+	// sees exactly the admission sequence.
+	if r.Snapshot != nil {
+		if err := sess.write(wire.MsgReplSnapshot, wire.EncodeReplSnapshot(r.SnapshotSeq, r.Snapshot)); err != nil {
+			r.Close()
+			return false
+		}
+	}
+	for _, e := range r.Backlog {
+		if err := sess.write(wire.MsgReplRecord, wire.EncodeReplRecord(e.Seq, e.Payload)); err != nil {
+			r.Close()
+			return false
+		}
+	}
+	sess.repl = r
+	s.mu.Lock()
+	s.repls[r] = struct{}{}
+	s.mu.Unlock()
+	return s.spawn(func() { s.forwardRepl(sess) })
+}
+
+func (s *Server) serveReplAck(sess *session, payload []byte) bool {
+	var ack wire.ReplAck
+	if err := json.Unmarshal(payload, &ack); err != nil {
+		return s.badPayload(sess, err)
+	}
+	s.followerSeq.Advance(ack.Seq)
+	s.followerEpoch.Advance(ack.Epoch)
+	return true
+}
+
+func (s *Server) serveShardInfo(sess *session, _ []byte) bool {
+	return sess.writeJSON(wire.MsgShardInfoReply, s.shardInfo()) == nil
+}
+
+// spawn starts a stream forwarder that Close waits for, and reports
+// false (nothing started; the caller ends the session) once Close has
+// begun its drain. s.mu orders the two: every fwdWG.Add happens before
+// Close's fwdWG.Wait, or not at all.
+func (s *Server) spawn(forwarder func()) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.fwdWG.Add(1)
+	go func() {
+		defer s.fwdWG.Done()
+		forwarder()
+	}()
+	return true
+}
+
+// forward streams one subscription — incident events or rollup windows
+// — to the session's connection as mt frames. It exits when the
+// subscription closes (session teardown or server drain) or the
+// connection dies.
+func forward[E, W any](s *Server, sess *session, events <-chan E, mt wire.MsgType, toWire func(*E) W) {
+	var ev E // one variable for the whole stream: &ev escapes into toWire
+	for ev = range events {
+		if err := sess.writeJSON(mt, toWire(&ev)); err != nil {
 			sess.conn.Close() // unblock the read loop; it unsubscribes
 			return
 		}
 	}
-	if s.State() == StateDraining {
-		_ = sess.conn.SetWriteDeadline(time.Now().Add(drainDeadline))
-		_ = sess.write(wire.MsgShutdown, nil)
-		_ = sess.conn.SetWriteDeadline(time.Time{})
+	s.goodbye(sess)
+}
+
+// goodbye pushes the terminal shutdown frame to a stream that ended
+// because the server is draining, so the client learns the difference
+// between "server going away" and "connection lost". The write is
+// bounded: a wedged subscriber must not stall Close.
+func (s *Server) goodbye(sess *session) {
+	if s.State() != StateDraining {
+		return
 	}
+	_ = sess.conn.SetWriteDeadline(time.Now().Add(drainDeadline))
+	_ = sess.write(wire.MsgShutdown, nil)
+	_ = sess.conn.SetWriteDeadline(time.Time{})
 }
 
 // forwardRepl streams the replication tap to the follower. It exits
@@ -943,7 +996,6 @@ func (s *Server) forwardRollups(sess *session) {
 // connection does; either way the follower reconnects and re-syncs
 // from its own durable watermark, so nothing is lost — only re-sent.
 func (s *Server) forwardRepl(sess *session) {
-	defer s.fwdWG.Done()
 	r := sess.repl
 	for {
 		select {
@@ -968,11 +1020,7 @@ func (s *Server) forwardRepl(sess *session) {
 				return
 			}
 		case <-r.Done:
-			if s.State() == StateDraining {
-				_ = sess.conn.SetWriteDeadline(time.Now().Add(drainDeadline))
-				_ = sess.write(wire.MsgShutdown, nil)
-				_ = sess.conn.SetWriteDeadline(time.Time{})
-			}
+			s.goodbye(sess)
 			sess.conn.Close()
 			return
 		}

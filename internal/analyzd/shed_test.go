@@ -32,9 +32,10 @@ func oneShot() RetryConfig {
 }
 
 // TestShedTierOrdering floods the ingest queue with a fabric client and
-// checks the degradation order the issue pins down: subscriptions shed
-// at half-full, queries only near saturation, diagnosis ingest never —
-// and the per-tier counters account for every refusal.
+// checks the degradation order over all four tiered verbs: both
+// subscription kinds shed at half-full, both query kinds only near
+// saturation, diagnosis ingest never — and the per-tier counters
+// account for every refusal.
 func TestShedTierOrdering(t *testing.T) {
 	const depth = 10
 	s := shedServer(t, depth)
@@ -58,40 +59,56 @@ func TestShedTierOrdering(t *testing.T) {
 		}
 	}
 
-	// Half-full: subscriptions shed, queries still served.
+	// The four tiered verbs, each as the error its caller sees.
+	subscribe := func(c *Client) error { return c.Subscribe(wire.SubscribeRequest{Node: -1}) }
+	subscribeRollups := func(c *Client) error { return c.SubscribeRollups(wire.RollupSubscribeRequest{}) }
+	queryIncidents := func(c *Client) error { _, err := c.QueryIncidents(wire.IncidentQuery{Node: -1}); return err }
+	queryRollups := func(c *Client) error { _, err := c.QueryRollups(wire.RollupQuery{}); return err }
+	shed := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrThrottled) {
+			t.Fatalf("%s: err = %v, want ErrThrottled", what, err)
+		}
+	}
+
+	// Half-full: both subscription kinds shed, both query kinds served.
+	// An admitted query drains the queue, so refill before the second.
 	fill(depth / 2)
 	if got := s.pipe.Load(); got < 0.5 {
 		t.Fatalf("load = %v, want >= 0.5", got)
 	}
-	if err := op.Subscribe(wire.SubscribeRequest{Node: -1}); !errors.Is(err, ErrThrottled) {
-		t.Fatalf("subscribe at half-full: err = %v, want ErrThrottled", err)
+	shed("subscribe at half-full", subscribe(op))
+	shed("rollup subscribe at half-full", subscribeRollups(op))
+	if err := queryRollups(op); err != nil {
+		t.Fatalf("rollup query at half-full shed: %v", err)
 	}
-	if _, err := op.QueryIncidents(wire.IncidentQuery{Node: -1}); err != nil {
+	fill(depth / 2)
+	if err := queryIncidents(op); err != nil {
 		t.Fatalf("query at half-full shed: %v", err)
 	}
 
-	// The admitted query drained the queue; the subscription tier
-	// reopens.
+	// The admitted query drained the queue; the subscription tiers
+	// reopen.
 	if got := s.pipe.Pending(); got != 0 {
 		t.Fatalf("pending after query = %d, want 0 (query drains)", got)
 	}
-	tail, err := DialOperatorRetry(s.Addr(), oneShot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tail.Close()
-	if err := tail.Subscribe(wire.SubscribeRequest{Node: -1}); err != nil {
-		t.Fatalf("subscribe at idle: %v", err)
+	for what, sub := range map[string]func(*Client) error{"subscribe": subscribe, "rollup subscribe": subscribeRollups} {
+		tail, err := DialOperatorRetry(s.Addr(), oneShot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tail.Close()
+		if err := sub(tail); err != nil {
+			t.Fatalf("%s at idle: %v", what, err)
+		}
 	}
 
 	// Near saturation: queries shed too; diagnosis ingest still served.
 	fill(depth - 1)
-	if err := op.Subscribe(wire.SubscribeRequest{Node: -1}); !errors.Is(err, ErrThrottled) {
-		t.Fatalf("subscribe near saturation: err = %v, want ErrThrottled", err)
-	}
-	if _, err := op.QueryIncidents(wire.IncidentQuery{Node: -1}); !errors.Is(err, ErrThrottled) {
-		t.Fatalf("query near saturation: err = %v, want ErrThrottled", err)
-	}
+	shed("subscribe near saturation", subscribe(op))
+	shed("rollup subscribe near saturation", subscribeRollups(op))
+	shed("query near saturation", queryIncidents(op))
+	shed("rollup query near saturation", queryRollups(op))
 	// The last queue slot plus an overflow: the diagnosis RPC is still
 	// answered both times — the queue sheds the overflow record with
 	// accounting instead of refusing the verb.
@@ -101,13 +118,16 @@ func TestShedTierOrdering(t *testing.T) {
 	if st.ShedSubscriptions != 2 {
 		t.Fatalf("ShedSubscriptions = %d, want 2", st.ShedSubscriptions)
 	}
-	if st.ShedQueries != 1 {
-		t.Fatalf("ShedQueries = %d, want 1", st.ShedQueries)
+	if st.ShedRollups != 2 {
+		t.Fatalf("ShedRollups = %d, want 2", st.ShedRollups)
+	}
+	if st.ShedQueries != 2 {
+		t.Fatalf("ShedQueries = %d, want 2", st.ShedQueries)
 	}
 	if st.Dropped != 1 {
 		t.Fatalf("Dropped = %d, want 1 (one record past the full queue)", st.Dropped)
 	}
-	if want := depth/2 + depth - 1 + 2; st.Diagnoses != want {
+	if want := depth/2*2 + depth - 1 + 2; st.Diagnoses != want {
 		t.Fatalf("Diagnoses = %d, want %d: the ingest tier must never refuse", st.Diagnoses, want)
 	}
 }

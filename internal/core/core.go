@@ -287,9 +287,9 @@ func betterReport(cand, cur, trigger sim.Time) bool {
 	return cost(cand) < cost(cur)
 }
 
-// provCfg builds the provenance configuration from the cluster/telemetry
-// parameters.
-func (sys *System) provCfg() provenance.Config {
+// ProvConfig builds the provenance configuration from the
+// cluster/telemetry parameters.
+func (sys *System) ProvConfig() provenance.Config {
 	cfg := provenance.DefaultConfig(sys.Cl.Topo.LinkBandwidth, int64(sys.Cfg.Telemetry.EpochSize()))
 	cfg.BurstRateFrac = sys.Cfg.BurstRateFrac
 	cfg.BurstMaxEpochs = sys.Cfg.BurstMaxEpochs
@@ -329,7 +329,7 @@ func (sys *System) diagnose(s *Session) *Result {
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].Switch < reports[j].Switch })
 	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-	g := provenance.Build(sys.provCfg(), reports, sys.Cl.Topo)
+	g := provenance.Build(sys.ProvConfig(), reports, sys.Cl.Topo)
 	// Declare what telemetry the analyzer wanted: the victim's path
 	// switches. Under collection faults some never report; coverage feeds
 	// the diagnosis confidence instead of failing silently.

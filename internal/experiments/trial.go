@@ -387,7 +387,7 @@ func (tr *Trial) BaselineScore(kind baselines.Kind) metrics.TrialScore {
 	}
 	reports := kind.Reports(tr.View)
 	trigger := tr.Score.Result.Trigger
-	g := provenance.Build(tr.provCfg(), reports, tr.Cl.Topo)
+	g := provenance.Build(tr.Sys.ProvConfig(), reports, tr.Cl.Topo)
 	d := diagnosis.Diagnose(diagnosis.DefaultConfig(), g, tr.Cl.Topo, trigger.Victim)
 	res := &core.Result{Trigger: trigger, Graph: g, Diagnosis: d}
 	return metrics.ScoreResults(metrics.DefaultScoreConfig(), []*core.Result{res}, tr.GT, tr.Cl.Topo)
@@ -396,13 +396,6 @@ func (tr *Trial) BaselineScore(kind baselines.Kind) metrics.TrialScore {
 // BaselineOverhead applies the cost models to the trial.
 func (tr *Trial) BaselineOverhead(kind baselines.Kind) baselines.Overhead {
 	return kind.Assess(tr.View, tr.Stats)
-}
-
-func (tr *Trial) provCfg() provenance.Config {
-	cfg := provenance.DefaultConfig(tr.Cl.Topo.LinkBandwidth, int64(tr.Sys.Cfg.Telemetry.EpochSize()))
-	cfg.BurstRateFrac = tr.Sys.Cfg.BurstRateFrac
-	cfg.BurstMaxEpochs = tr.Sys.Cfg.BurstMaxEpochs
-	return cfg
 }
 
 // Summary renders a one-line trial outcome.
@@ -429,7 +422,7 @@ func (tr *Trial) ScoreWithBinaryMeter() metrics.TrialScore {
 		reports = append(reports, &cp)
 	}
 	trigger := tr.Score.Result.Trigger
-	g := provenance.Build(tr.provCfg(), reports, tr.Cl.Topo)
+	g := provenance.Build(tr.Sys.ProvConfig(), reports, tr.Cl.Topo)
 	d := diagnosis.Diagnose(diagnosis.DefaultConfig(), g, tr.Cl.Topo, trigger.Victim)
 	res := &core.Result{Trigger: trigger, Graph: g, Diagnosis: d}
 	return metrics.ScoreResults(metrics.DefaultScoreConfig(), []*core.Result{res}, tr.GT, tr.Cl.Topo)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -230,6 +231,46 @@ func TestWriterReroutesOnFence(t *testing.T) {
 	defer w2.Close()
 	if _, err := w2.Write("fabB", testRec("fabB", 1)); !errors.Is(err, analyzd.ErrFenced) {
 		t.Fatalf("exhausted write error %v, want ErrFenced", err)
+	}
+}
+
+// TestMalformedWriteIsAnswered: a request verb whose payload fails
+// validation is answered with an error and the session ends, so the
+// caller gets an error instead of waiting forever on a reply that a
+// silent strike never sends.
+func TestMalformedWriteIsAnswered(t *testing.T) {
+	srv := testShard(t, filepath.Join(t.TempDir(), "s0"), "s0")
+	defer srv.Close()
+
+	const attempts = 3
+	w, err := NewWriter(WriterConfig{
+		Specs: []ShardSpec{{Name: "s0", Addr: srv.Addr()}},
+		Seed:  5, Retry: testRetry(5), MaxAttempts: attempts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	rec := testRec("fabA", 0)
+	rec.Culprits = make([]string, 257) // one past the wire bound
+	_, err = w.Write("fabA", rec)
+	if err == nil || !strings.Contains(err.Error(), "bad write request: ") || !strings.Contains(err.Error(), "257 culprit flows") {
+		t.Fatalf("out-of-bounds write: err = %v, want the server's bad write request answer", err)
+	}
+	if got := srv.Fleet().Records(fleetstore.Query{Node: fleetstore.AnyNode}); len(got) != 0 {
+		t.Fatalf("store admitted %d out-of-bounds records", len(got))
+	}
+
+	c, err := analyzd.DialOperatorRetry(srv.Addr(), testRetry(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.AnnounceEpoch("", 1); err == nil || !strings.Contains(err.Error(), "bad epoch announce: ") {
+		t.Fatalf("announce without a shard: err = %v, want the server's bad epoch announce answer", err)
+	}
+	if n := srv.Stats().DecodeErrors; n != attempts+1 {
+		t.Fatalf("DecodeErrors = %d, want %d", n, attempts+1)
 	}
 }
 

@@ -186,23 +186,16 @@ func (st *Store) restore(payload []byte) error {
 	// Admission order is not trigger-time order once a reshard copy has
 	// landed (copies carry old trigger times behind newer records), and
 	// a snapshot taken after the adopt holds no control record to force
-	// a rebuild on replay. A resettable observer is therefore rebuilt
-	// once, in trigger-time order, after the rings are back; only a
-	// non-resettable observer gets the legacy per-entry feed.
-	_, resettable := st.cfg.Observer.(ResettableObserver)
+	// a rebuild on replay. The observer is therefore rebuilt once, in
+	// trigger-time order, after the rings are back.
 	for i := range ps.Entries {
 		pe := &ps.Entries[i]
 		st.noteOrigin(&pe.Rec)
-		if st.cfg.Observer != nil && !resettable {
-			st.cfg.Observer.ObserveRecord(&pe.Rec)
-		}
 		if old, evicted := st.shardFor(pe.Rec.Fabric, pe.Rec.At).add(entry{rec: pe.Rec, inc: pe.Inc}, st.cfg.ShardCapacity); evicted {
 			st.evicted.Add(1)
 			st.cl.evict(old.inc, &old.rec)
 		}
 	}
-	if resettable {
-		st.rebuildObserver()
-	}
+	st.rebuildObserver()
 	return nil
 }

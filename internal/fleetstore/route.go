@@ -22,18 +22,6 @@ const (
 	ctrlAdopt = "adopt"
 )
 
-// ResettableObserver is a RecordObserver that can drop its derived
-// state and be rebuilt by re-observation — the rollup summarizer
-// implements it. Reshard cutovers need it: migrated records carry old
-// trigger times that a live summarizer would drop as late, so the
-// store rebuilds the observer from its retained record set instead.
-type ResettableObserver interface {
-	RecordObserver
-	// ResetObserver discards all derived state; the store follows with
-	// a full re-observation in trigger-time order.
-	ResetObserver()
-}
-
 // loadEpochState initializes the epoch and fence marker from the store
 // directory during Open. A directory that has never held an epoch
 // claims 1; Config.BumpEpoch (the promotion path) increments past both
@@ -354,21 +342,17 @@ func (st *Store) applyPurge(fabric string) int {
 	return len(dropped)
 }
 
-// rebuildObserver resets a resettable observer and re-feeds it the
-// full retained record set in trigger-time order (ties by seq — the
-// same order a fresh recovery observes), then re-advances the
-// watermark. Trigger-time order matters: copied or surviving records
-// must never arrive behind a pane the rebuild has already closed.
+// rebuildObserver resets the observer and re-feeds it the full
+// retained record set in trigger-time order (ties by seq — the same
+// order a fresh recovery observes), then re-advances the watermark.
+// Trigger-time order matters: copied or surviving records must never
+// arrive behind a pane the rebuild has already closed.
 func (st *Store) rebuildObserver() {
 	obs := st.cfg.Observer
 	if obs == nil {
 		return
 	}
-	r, ok := obs.(ResettableObserver)
-	if !ok {
-		return
-	}
-	r.ResetObserver()
+	obs.ResetObserver()
 	recs := st.Records(Query{Node: AnyNode})
 	for i := range recs {
 		obs.ObserveRecord(&recs[i])

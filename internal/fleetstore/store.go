@@ -146,6 +146,11 @@ type RecordObserver interface {
 	// AdvanceWatermark mirrors Store.Sweep: all records at or before
 	// the watermark have been observed.
 	AdvanceWatermark(sim.Time)
+	// ResetObserver discards all derived state; the store follows with
+	// a full re-observation in trigger-time order. Reshard cutovers and
+	// snapshot restores need it: migrated records carry old trigger
+	// times that a live observer would drop as late.
+	ResetObserver()
 }
 
 // DefaultConfig returns sizes suitable for tests and examples; a

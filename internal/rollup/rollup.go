@@ -502,11 +502,10 @@ func (s *Summarizer) Close() {
 
 // ResetObserver discards every pane, the watermark and the late-drop
 // cutoff, and zeroes the fold counters, keeping subscribers attached.
-// It implements fleetstore.ResettableObserver: after a reshard cutover
-// the store re-feeds its retained record set in trigger-time order, so
-// migrated records — whose trigger times predate the live watermark —
-// land in proper panes instead of being dropped as late. No-op once
-// shut.
+// After a reshard cutover or a snapshot restore the store follows it
+// with its retained record set in trigger-time order, so migrated
+// records — whose trigger times predate the live watermark — land in
+// proper panes instead of being dropped as late. No-op once shut.
 func (s *Summarizer) ResetObserver() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
