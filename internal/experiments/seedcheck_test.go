@@ -29,22 +29,18 @@ func TestSeedRobustness(t *testing.T) {
 		workload.NameCacheThrash:    5,
 		workload.NameHostPauseStorm: 5,
 	}
-	for _, name := range workload.AllScenarios() {
-		pass := 0
-		for seed := uint64(1); seed <= 5; seed++ {
-			tr, err := RunTrial(DefaultTrialConfig(name, seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tr.Score.Correct {
-				pass++
-			} else {
-				t.Logf("%s seed=%d: %s", name, seed, tr.Score.Reason)
-			}
+	pass := make(map[string]int)
+	for _, row := range verdictGrid(t) {
+		if row.Correct {
+			pass[row.Scenario]++
+		} else {
+			t.Logf("%s seed=%d: %s", row.Scenario, row.Seed, row.Reason)
 		}
-		t.Logf("%s: %d/5 correct", name, pass)
-		if pass < minPass[name] {
-			t.Errorf("%s: %d/5 correct, below the %d/5 regression floor", name, pass, minPass[name])
+	}
+	for _, name := range workload.AllScenarios() {
+		t.Logf("%s: %d/%d correct", name, pass[name], gridSeeds)
+		if pass[name] < minPass[name] {
+			t.Errorf("%s: %d/%d correct, below the %d/%d regression floor", name, pass[name], gridSeeds, minPass[name], gridSeeds)
 		}
 	}
 }
