@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"hawkeye/internal/analyzd"
+	"hawkeye/internal/core"
 	"hawkeye/internal/experiments"
 	"hawkeye/internal/wire"
 	"hawkeye/internal/workload"
@@ -118,8 +119,9 @@ drain:
 }
 
 // driveFabric simulates one fabric's anomaly and replays it into the
-// analyzer under the given fleet name: telemetry reports first, then
-// every ground-truth victim complaint from the anomaly window.
+// analyzer under the given fleet name: the scored complaint's switch and
+// host-agent reports first, then every ground-truth victim complaint from
+// the anomaly window, each declaring its victim's path.
 func driveFabric(addr, name, scenario string) error {
 	tr, err := experiments.RunTrial(experiments.DefaultTrialConfig(scenario, 1))
 	if err != nil {
@@ -135,12 +137,20 @@ func driveFabric(addr, name, scenario string) error {
 			return err
 		}
 	}
+	if res := tr.Score.Result; res != nil {
+		for _, hr := range tr.Sys.Sessions()[res.Trigger.DiagID].HostReports {
+			if err := c.SendHostReport(hr); err != nil {
+				return err
+			}
+		}
+	}
 	complaints := 0
 	for _, r := range tr.Results {
 		if !tr.GT.Victims[r.Trigger.Victim] || r.Trigger.At < tr.GT.AnomalyAt {
 			continue
 		}
-		if _, err := c.DiagnoseAt(r.Trigger.Victim, int64(r.Trigger.At)); err != nil {
+		path := core.VictimPath(tr.Cl.Routing, tr.Cl.Topo, r.Trigger.Victim)
+		if _, err := c.DiagnoseAt(r.Trigger.Victim, int64(r.Trigger.At), path...); err != nil {
 			return err
 		}
 		complaints++

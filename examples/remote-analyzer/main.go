@@ -2,7 +2,7 @@
 // telemetry is produced in the fabric, but the provenance analysis runs
 // in a central analyzer service. This example simulates an incast,
 // starts the analyzer as a real TCP service, streams the collected
-// telemetry reports to it, and prints the remote verdict.
+// switch and host-agent reports to it, and prints the remote verdict.
 //
 //	go run ./examples/remote-analyzer
 package main
@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"hawkeye/internal/analyzd"
+	"hawkeye/internal/core"
 	"hawkeye/internal/experiments"
 	"hawkeye/internal/workload"
 )
@@ -25,8 +26,9 @@ func main() {
 	if tr.Score.Result == nil {
 		log.Fatal("no complaint was scored")
 	}
+	scored := tr.Score.Result.Trigger
 	fmt.Printf("simulated incast: %d telemetry reports collected for victim %v\n",
-		len(tr.View.Traced), tr.Score.Result.Trigger.Victim)
+		len(tr.View.Traced), scored.Victim)
 
 	// The analyzer side: a TCP service, topology learned at handshake.
 	srv, err := analyzd.ListenOpts("127.0.0.1:0", analyzd.Options{})
@@ -41,13 +43,22 @@ func main() {
 		log.Fatal(err)
 	}
 	defer client.Close()
+	// The scored complaint's evidence: the switch reports its polling
+	// collected and the host agents' counter snapshots. Each complaint
+	// declares the path its victim took, which the analyzer then expects
+	// reports from.
 	for _, rep := range tr.View.Traced {
 		if err := client.SendReport(rep); err != nil {
 			log.Fatal(err)
 		}
 	}
+	for _, hr := range tr.Sys.Sessions()[scored.DiagID].HostReports {
+		if err := client.SendHostReport(hr); err != nil {
+			log.Fatal(err)
+		}
+	}
 
-	verdict, err := client.DiagnoseAt(tr.Score.Result.Trigger.Victim, int64(tr.Score.Result.Trigger.At))
+	verdict, err := client.DiagnoseAt(scored.Victim, int64(scored.At), core.VictimPath(tr.Cl.Routing, tr.Cl.Topo, scored.Victim)...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +72,8 @@ func main() {
 	// group everything into incidents.
 	for _, r := range tr.Results {
 		if r != tr.Score.Result && tr.GT.Victims[r.Trigger.Victim] && r.Trigger.At >= tr.GT.AnomalyAt {
-			if _, err := client.DiagnoseAt(r.Trigger.Victim, int64(r.Trigger.At)); err != nil {
+			path := core.VictimPath(tr.Cl.Routing, tr.Cl.Topo, r.Trigger.Victim)
+			if _, err := client.DiagnoseAt(r.Trigger.Victim, int64(r.Trigger.At), path...); err != nil {
 				log.Fatal(err)
 			}
 		}

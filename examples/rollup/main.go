@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"hawkeye/internal/analyzd"
+	"hawkeye/internal/core"
 	"hawkeye/internal/experiments"
 	"hawkeye/internal/rollup"
 	"hawkeye/internal/wire"
@@ -212,12 +213,20 @@ func driveFabric(addr, name, scenario string) error {
 			return err
 		}
 	}
+	if res := tr.Score.Result; res != nil {
+		for _, hr := range tr.Sys.Sessions()[res.Trigger.DiagID].HostReports {
+			if err := c.SendHostReport(hr); err != nil {
+				return err
+			}
+		}
+	}
 	complaints := 0
 	for _, r := range tr.Results {
 		if !tr.GT.Victims[r.Trigger.Victim] || r.Trigger.At < tr.GT.AnomalyAt {
 			continue
 		}
-		if _, err := c.DiagnoseAt(r.Trigger.Victim, int64(r.Trigger.At)); err != nil {
+		path := core.VictimPath(tr.Cl.Routing, tr.Cl.Topo, r.Trigger.Victim)
+		if _, err := c.DiagnoseAt(r.Trigger.Victim, int64(r.Trigger.At), path...); err != nil {
 			return err
 		}
 		complaints++

@@ -3,10 +3,13 @@ package analyzd
 import (
 	"encoding/json"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"hawkeye/internal/chaos"
+	"hawkeye/internal/core"
 	"hawkeye/internal/experiments"
 	"hawkeye/internal/topo"
 	"hawkeye/internal/wire"
@@ -23,53 +26,100 @@ func newServer(t *testing.T) *Server {
 	return s
 }
 
-// TestEndToEndDiagnosis replays a simulated incast's traced telemetry
-// through the TCP service and checks the remote verdict matches the
-// in-process one.
-func TestEndToEndDiagnosis(t *testing.T) {
-	tr, err := experiments.RunTrial(experiments.DefaultTrialConfig(workload.NameIncast, 1))
-	if err != nil {
-		t.Fatal(err)
+// differentialRows are the trials TestEndToEndDiagnosis replays: every
+// scenario at seed 1, a trial that loses half its collections (so a
+// victim-path switch goes silent), and one with the host agents off.
+func differentialRows() []experiments.TrialConfig {
+	var rows []experiments.TrialConfig
+	for _, name := range workload.AllScenarios() {
+		rows = append(rows, experiments.DefaultTrialConfig(name, 1))
 	}
-	if tr.Score.Result == nil {
-		t.Fatal("trial produced no diagnosis")
-	}
-	local := tr.Score.Result.Diagnosis
+	loss := experiments.DefaultTrialConfig(workload.NameIncast, 1)
+	loss.Chaos = &chaos.Schedule{CollectDrop: 0.5}
+	noAgents := experiments.DefaultTrialConfig(workload.NameStorm, 1)
+	noAgents.DisableHostAgents = true
+	return append(rows, loss, noAgents)
+}
 
-	s := newServer(t)
-	c, err := Dial(s.Addr(), tr.Cl.Topo, int64(tr.Sys.Cfg.Telemetry.EpochSize()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for _, rep := range tr.View.Traced {
-		if err := c.SendReport(rep); err != nil {
-			t.Fatal(err)
+// TestEndToEndDiagnosis is the differential test of the two transports:
+// each row pushes the scored session's switch and host reports through a
+// fresh loopback session, complains with the declared victim path, and
+// must get back exactly the verdict the reproduction reached in-process.
+func TestEndToEndDiagnosis(t *testing.T) {
+	for _, cfg := range differentialRows() {
+		name := cfg.Scenario
+		switch {
+		case cfg.Chaos != nil:
+			name = "collect-loss-" + name
+		case cfg.DisableHostAgents:
+			name = "no-host-agents-" + name
 		}
-	}
-	remote, err := c.Diagnose(tr.Score.Result.Trigger.Victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if remote.Type != local.Type.String() {
-		t.Fatalf("remote type %q, local %q", remote.Type, local.Type)
-	}
-	lc := local.PrimaryCause()
-	if remote.InitialNode != int(lc.Port.Node) || remote.InitialPort != lc.Port.Port {
-		t.Fatalf("remote initial point N%d.P%d, local %v", remote.InitialNode, remote.InitialPort, lc.Port)
-	}
-	if len(remote.Culprits) != len(lc.Flows) {
-		t.Fatalf("remote culprits %d, local %d", len(remote.Culprits), len(lc.Flows))
-	}
-	if remote.Switches != len(tr.View.Traced) {
-		t.Fatalf("remote used %d reports, sent %d", remote.Switches, len(tr.View.Traced))
-	}
-	if !strings.Contains(remote.Rendered, remote.Type) {
-		t.Fatal("rendered report missing the verdict")
-	}
-	st := s.Stats()
-	if st.Sessions != 1 || st.Reports != len(tr.View.Traced) || st.Diagnoses != 1 {
-		t.Fatalf("stats = %+v", st)
+		t.Run(name, func(t *testing.T) {
+			tr, err := experiments.RunTrial(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			local := tr.Score.Result
+			if local == nil {
+				t.Fatal("trial produced no diagnosis")
+			}
+			sess := tr.Sys.Sessions()[local.Trigger.DiagID]
+
+			s := newServer(t)
+			c, err := Dial(s.Addr(), tr.Cl.Topo, int64(tr.Sys.Cfg.Telemetry.EpochSize()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for _, rep := range sess.Reports {
+				if err := c.SendReport(rep); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, hr := range sess.HostReports {
+				if err := c.SendHostReport(hr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			victim := local.Trigger.Victim
+			remote, err := c.DiagnoseAt(victim, int64(local.Trigger.At), core.VictimPath(tr.Cl.Routing, tr.Cl.Topo, victim)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			d := local.Diagnosis
+			cause := d.PrimaryCause()
+			want := wire.Diagnosis{
+				Type:        d.Type.String(),
+				CauseKind:   cause.Kind.String(),
+				InitialNode: int(cause.Port.Node),
+				InitialPort: cause.Port.Port,
+				Rendered:    remote.Rendered,
+				Switches:    len(local.Switches),
+				Confidence:  d.Confidence.String(),
+				Score:       d.ConfidenceScore,
+				Missing:     d.Missing,
+			}
+			for _, f := range cause.Flows {
+				want.Culprits = append(want.Culprits, f.String())
+			}
+			if !reflect.DeepEqual(*remote, want) {
+				remote.Rendered = ""
+				want.Rendered = ""
+				t.Fatalf("service verdict differs from the reproduction's:\n  remote: %+v\n  local:  %+v", *remote, want)
+			}
+			if !strings.Contains(remote.Rendered, remote.Type) {
+				t.Fatal("rendered report missing the verdict")
+			}
+			// A clean fabric's telemetry passes admission untouched.
+			st := s.Stats()
+			if st.Reports != len(sess.Reports) || st.HostReports != len(sess.HostReports) || st.Diagnoses != 1 {
+				t.Fatalf("stats = %+v", st)
+			}
+			if st.RejectedReports+st.RejectedHostReports+st.ClampedValues != 0 {
+				t.Fatalf("admission rejected %d+%d reports and clamped %d values", st.RejectedReports, st.RejectedHostReports, st.ClampedValues)
+			}
+		})
 	}
 }
 
@@ -229,7 +279,7 @@ func TestConcurrentSessions(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			if _, err := c.Diagnose(packetFiveTuple{SrcIP: 1, DstIP: 2, Proto: 17}); err != nil {
+			if _, err := c.DiagnoseAt(packetFiveTuple{SrcIP: 1, DstIP: 2, Proto: 17}, 0); err != nil {
 				errs <- err
 			}
 		}()
@@ -256,7 +306,7 @@ func TestCloseUnblocksSessions(t *testing.T) {
 	}
 	// The session socket is closed server-side; the next request fails
 	// rather than hanging.
-	if _, err := c.Diagnose(packetFiveTuple{SrcIP: 1, DstIP: 2, Proto: 17}); err == nil {
+	if _, err := c.DiagnoseAt(packetFiveTuple{SrcIP: 1, DstIP: 2, Proto: 17}, 0); err == nil {
 		t.Fatal("diagnose succeeded on a closed server")
 	}
 }
@@ -458,7 +508,7 @@ func TestOperatorSessionCannotDiagnose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Diagnose(packetFiveTuple{SrcIP: 1, DstIP: 2, Proto: 17}); err == nil {
+	if _, err := c.DiagnoseAt(packetFiveTuple{SrcIP: 1, DstIP: 2, Proto: 17}, 0); err == nil {
 		t.Fatal("operator session diagnosed")
 	}
 }

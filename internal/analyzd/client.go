@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"time"
 
 	"hawkeye/internal/packet"
@@ -18,11 +17,6 @@ import (
 // packetFiveTuple keeps the server file free of a direct packet import
 // cycle concern; it is just the packet type.
 type packetFiveTuple = packet.FiveTuple
-
-// sortReports orders reports by switch ID for deterministic graphs.
-func sortReports(reports []*telemetry.Report) {
-	sort.Slice(reports, func(i, j int) bool { return reports[i].Switch < reports[j].Switch })
-}
 
 // RetryConfig shapes the client's reconnect behaviour: capped
 // exponential backoff with symmetric jitter. A switch CPU pushing
@@ -386,16 +380,18 @@ func (c *Client) SendHostReport(hr *telemetry.HostReport) error {
 	return c.push(wire.MsgHostReport, data)
 }
 
-// Diagnose asks the analyzer for the verdict on a victim flow.
-func (c *Client) Diagnose(victim packet.FiveTuple) (*wire.Diagnosis, error) {
-	return c.DiagnoseAt(victim, 0)
-}
-
-// DiagnoseAt is Diagnose with the complaint's trigger time attached, so
-// the server can group diagnoses into incidents.
-func (c *Client) DiagnoseAt(victim packet.FiveTuple, atNS int64) (*wire.Diagnosis, error) {
+// DiagnoseAt asks the analyzer for the verdict on a victim flow. atNS
+// is the complaint's trigger time (0 if unknown), by which the server
+// groups diagnoses into incidents; path, optional, is the switches the
+// victim's path crossed (at most wire.MaxDeclaredPath), which the
+// analyzer then expects reports from. Without a path the switch
+// expectation is unknown and a silent path switch goes unnoticed.
+func (c *Client) DiagnoseAt(victim packet.FiveTuple, atNS int64, path ...topo.NodeID) (*wire.Diagnosis, error) {
+	if len(path) > wire.MaxDeclaredPath {
+		return nil, fmt.Errorf("analyzd: declared path of %d switches exceeds %d", len(path), wire.MaxDeclaredPath)
+	}
 	var d wire.Diagnosis
-	if err := c.call("diagnose", wire.MsgDiagnose, wire.EncodeDiagnoseRequest(victim, atNS), wire.MsgDiagnosis, &d); err != nil {
+	if err := c.call("diagnose", wire.MsgDiagnose, wire.EncodeDiagnoseRequest(victim, atNS, path...), wire.MsgDiagnosis, &d); err != nil {
 		return nil, err
 	}
 	return &d, nil

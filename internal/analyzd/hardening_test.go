@@ -247,7 +247,7 @@ func TestRejectedReportDegradesDiagnosis(t *testing.T) {
 	if err := wire.WriteFrame(c.conn, wire.MsgReport, garbageReport(t)); err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Diagnose(tr.Score.Result.Trigger.Victim)
+	d, err := c.DiagnoseAt(tr.Score.Result.Trigger.Victim, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestHealthOverTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fab.Close()
-	if _, err := fab.Diagnose(packetFiveTuple{SrcIP: 1, DstIP: 2, Proto: 17}); err != nil {
+	if _, err := fab.DiagnoseAt(packetFiveTuple{SrcIP: 1, DstIP: 2, Proto: 17}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fab.Health(); err != nil {

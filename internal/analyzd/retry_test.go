@@ -60,7 +60,7 @@ func TestDialRetriesThroughResets(t *testing.T) {
 	}
 	rec.mu.Unlock()
 	// The surviving session must actually work.
-	if _, err := c.Diagnose(packet.FiveTuple{SrcIP: 1, DstIP: 2}); err != nil {
+	if _, err := c.DiagnoseAt(packet.FiveTuple{SrcIP: 1, DstIP: 2}, 0); err != nil {
 		t.Fatalf("diagnose on retried session: %v", err)
 	}
 }
@@ -86,7 +86,7 @@ func TestDiagnoseSurvivesMidSessionReset(t *testing.T) {
 	defer c.Close()
 	c.conn.Close()
 
-	d, err := c.Diagnose(packet.FiveTuple{SrcIP: 1, DstIP: 2})
+	d, err := c.DiagnoseAt(packet.FiveTuple{SrcIP: 1, DstIP: 2}, 0)
 	if err != nil {
 		t.Fatalf("diagnose after reset: %v", err)
 	}

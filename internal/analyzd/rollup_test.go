@@ -117,7 +117,7 @@ func TestRollupSubscriptionShedding(t *testing.T) {
 	defer op.Close()
 
 	for i := 0; i < depth/2; i++ {
-		if _, err := fab.Diagnose(packetFiveTuple{SrcIP: 1, DstIP: 2, Proto: 17}); err != nil {
+		if _, err := fab.DiagnoseAt(packetFiveTuple{SrcIP: 1, DstIP: 2, Proto: 17}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,9 +105,6 @@ const DefaultMaxStrikes = 8
 // Server accepts analyzer sessions.
 type Server struct {
 	lis net.Listener
-
-	// DiagnosisConfig tunes signature matching (defaults if zero).
-	DiagnosisConfig diagnosis.Config
 
 	// fleet is the shared diagnosis history; pipe is its ingest front;
 	// adm is the tiered load shedder in front of the sheddable verbs;
@@ -228,16 +224,15 @@ type Stats struct {
 // sessions, so a client never observes a partially recovered store.
 func ListenOpts(addr string, o Options) (*Server, error) {
 	s := &Server{
-		DiagnosisConfig: diagnosis.DefaultConfig(),
-		adm:             newAdmission(o.ShedSubscriptionsAt, o.ShedQueriesAt, o.RetryAfterMs),
-		conns:           make(map[net.Conn]struct{}),
-		readTimeout:     o.ReadTimeout,
-		writeTimeout:    o.WriteTimeout,
-		maxStrikes:      o.MaxStrikes,
-		shard:           o.Shard,
-		replBuffer:      o.ReplBuffer,
-		repls:           make(map[*fleetstore.ReplicaSync]struct{}),
-		semiSync:        o.SemiSync,
+		adm:          newAdmission(o.ShedSubscriptionsAt, o.ShedQueriesAt, o.RetryAfterMs),
+		conns:        make(map[net.Conn]struct{}),
+		readTimeout:  o.ReadTimeout,
+		writeTimeout: o.WriteTimeout,
+		maxStrikes:   o.MaxStrikes,
+		shard:        o.Shard,
+		replBuffer:   o.ReplBuffer,
+		repls:        make(map[*fleetstore.ReplicaSync]struct{}),
+		semiSync:     o.SemiSync,
 	}
 	if s.maxStrikes == 0 {
 		s.maxStrikes = DefaultMaxStrikes
@@ -472,24 +467,16 @@ type session struct {
 	// operator sessions.
 	validator *wire.Validator
 	lim       telemetry.Limits
-	// strikes counts decode/admission failures toward quarantine.
-	// rejected/rejectedUnknown and clamped carry the per-session hostile
-	// accounting into Coverage at diagnosis time, so a verdict says
-	// "switch 3 was heard from and disbelieved" instead of "switch 3 was
-	// silent".
-	strikes         int
-	rejected        map[topo.NodeID]int
-	rejectedUnknown int
-	clamped         int
+	// strikes counts decode/admission failures toward quarantine. adm
+	// carries the session's admission tallies into every verdict, so a
+	// verdict says "switch 3 was heard from and disbelieved" instead of
+	// "switch 3 was silent".
+	strikes int
+	adm     core.Admission
 	// reports keeps the freshest report per switch; hostReports the
-	// freshest host-agent counter snapshot per host. hostRejected counts
-	// host snapshots that failed admission — folded into Coverage at
-	// diagnosis time so the verdict knows host evidence was offered and
-	// disbelieved.
-	reports             map[topo.NodeID]*telemetry.Report
-	hostReports         map[topo.NodeID]*telemetry.HostReport
-	hostRejected        map[topo.NodeID]int
-	hostRejectedUnknown int
+	// freshest host-agent counter snapshot per host.
+	reports     map[topo.NodeID]*telemetry.Report
+	hostReports map[topo.NodeID]*telemetry.HostReport
 	// history records completed diagnoses for incident grouping (trigger
 	// order, the order requests arrive).
 	history []*core.Result
@@ -574,10 +561,8 @@ func (s *Server) handle(conn net.Conn) {
 		sess.epochNS = hello.EpochNS
 		sess.reports = make(map[topo.NodeID]*telemetry.Report)
 		sess.hostReports = make(map[topo.NodeID]*telemetry.HostReport)
-		sess.hostRejected = make(map[topo.NodeID]int)
 		sess.validator = wire.NewValidator(tp)
 		sess.lim = telemetry.LimitsFor(tp.LinkBandwidth, hello.EpochNS)
-		sess.rejected = make(map[topo.NodeID]int)
 	}
 	if err := sess.write(wire.MsgHelloOK, nil); err != nil {
 		return
@@ -722,20 +707,12 @@ func (s *Server) serveReport(sess *session, payload []byte) bool {
 	if err := rep.UnmarshalBinary(payload); err != nil {
 		return s.badPayload(sess, err)
 	}
-	if err := sess.validator.CheckReport(rep); err != nil {
+	n, err := sess.adm.AdmitReport(sess.validator, rep, sess.lim)
+	if err != nil {
 		s.rejectedReports.Add(1)
-		var re *wire.ReportError
-		if errors.As(err, &re) && re.SwitchKnown {
-			sess.rejected[re.Switch]++
-		} else {
-			sess.rejectedUnknown++
-		}
 		return s.strike(sess)
 	}
-	if n := telemetry.SanitizeReport(rep, sess.lim); n > 0 {
-		s.clampedValues.Add(uint64(n))
-		sess.clamped += n
-	}
+	s.clampedValues.Add(uint64(n))
 	sess.reports[rep.Switch] = rep
 	s.reports.Add(1)
 	return true
@@ -747,20 +724,12 @@ func (s *Server) serveHostReport(sess *session, payload []byte) bool {
 	if err := hr.UnmarshalBinary(payload); err != nil {
 		return s.badPayload(sess, err)
 	}
-	if err := sess.validator.CheckHostReport(hr); err != nil {
+	n, err := sess.adm.AdmitHostReport(sess.validator, hr, telemetry.HostLimitsFor(sess.topo.LinkBandwidth))
+	if err != nil {
 		s.rejectedHostReports.Add(1)
-		var re *wire.ReportError
-		if errors.As(err, &re) && re.SwitchKnown {
-			sess.hostRejected[re.Switch]++
-		} else {
-			sess.hostRejectedUnknown++
-		}
 		return s.strike(sess)
 	}
-	if n := telemetry.SanitizeHostReport(hr, telemetry.HostLimitsFor(sess.topo.LinkBandwidth)); n > 0 {
-		s.clampedValues.Add(uint64(n))
-		sess.clamped += n
-	}
+	s.clampedValues.Add(uint64(n))
 	sess.hostReports[hr.Host] = hr
 	s.hostReports.Add(1)
 	return true
@@ -773,11 +742,14 @@ func (s *Server) serveDiagnose(sess *session, payload []byte) bool {
 		_ = sess.writeJSON(wire.MsgFence, s.fenceInfo())
 		return false
 	}
-	victim, atNS, err := wire.DecodeDiagnoseRequest(payload)
+	victim, atNS, path, err := wire.DecodeDiagnoseRequest(payload)
+	if err == nil {
+		err = sess.validator.CheckPath(path)
+	}
 	if err != nil {
 		return s.badPayload(sess, err)
 	}
-	reply := s.diagnose(sess, victim, atNS)
+	reply := s.diagnose(sess, victim, atNS, path)
 	// Counted before the reply goes out, so a client holding its verdict
 	// never reads a count that misses it.
 	s.diagnoses.Add(1)
@@ -1052,77 +1024,24 @@ func (s *Server) shardInfo() wire.ShardInfo {
 // of each other (matches the trial default correlation horizon).
 const incidentWindow = 2 * sim.Millisecond
 
-// victimEndpoints resolves the victim flow's source and destination to
-// host nodes in the session topology (deduplicated; unknown IPs are
-// skipped rather than guessed).
-func victimEndpoints(t *topo.Topology, victim packetFiveTuple) []topo.NodeID {
-	var out []topo.NodeID
-	add := func(ip uint32) {
-		id, ok := t.HostByIP(ip)
-		if !ok {
-			return
-		}
-		for _, o := range out {
-			if o == id {
-				return
-			}
-		}
-		out = append(out, id)
+// diagnose assesses the session's evidence for one complaint and files
+// the verdict with the fleet store.
+func (s *Server) diagnose(sess *session, victim packetFiveTuple, atNS int64, path []topo.NodeID) wire.Diagnosis {
+	ev := core.Evidence{
+		Topo:      sess.topo,
+		Prov:      provenance.DefaultConfig(sess.topo.LinkBandwidth, sess.epochNS),
+		Diag:      diagnosis.DefaultConfig(),
+		Victim:    victim,
+		Path:      path,
+		Admission: sess.adm,
 	}
-	add(victim.SrcIP)
-	add(victim.DstIP)
-	return out
-}
-
-func (s *Server) diagnose(sess *session, victim packetFiveTuple, atNS int64) wire.Diagnosis {
-	reports := make([]*telemetry.Report, 0, len(sess.reports))
 	for _, rep := range sess.reports {
-		reports = append(reports, rep)
+		ev.Reports = append(ev.Reports, rep)
 	}
-	sortReports(reports)
-	cfg := provenance.DefaultConfig(sess.topo.LinkBandwidth, sess.epochNS)
-	g := provenance.Build(cfg, reports, sess.topo)
-	// Fold this session's hostile-input history into Coverage before the
-	// verdict: a rejected switch was heard from and disbelieved, which
-	// reads very differently from a switch that never reported.
-	for sw, n := range sess.rejected {
-		for i := 0; i < n; i++ {
-			g.Coverage.NoteRejected(sw)
-		}
+	for _, hr := range sess.hostReports {
+		ev.Hosts = append(ev.Hosts, hr)
 	}
-	for i := 0; i < sess.rejectedUnknown; i++ {
-		g.Coverage.NoteRejected(-1)
-	}
-	g.Coverage.Clamped += sess.clamped
-	// Host-agent evidence joins the graph the same way. The expectation
-	// is declared only when the session actually ran host agents (an
-	// admitted or rejected snapshot proves it), so a switch-only fleet is
-	// never penalized for a channel it does not have — but a fleet WITH
-	// host agents that goes silent on the victim's endpoints loses
-	// confidence instead of getting a confident network verdict.
-	hostActive := len(sess.hostReports) > 0
-	hosts := make([]topo.NodeID, 0, len(sess.hostReports))
-	for id := range sess.hostReports {
-		hosts = append(hosts, id)
-	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-	for _, id := range hosts {
-		g.AddHostReport(sess.hostReports[id], sess.topo)
-	}
-	for id, n := range sess.hostRejected {
-		hostActive = true
-		for i := 0; i < n; i++ {
-			g.Coverage.NoteHostRejected(id)
-		}
-	}
-	for i := 0; i < sess.hostRejectedUnknown; i++ {
-		hostActive = true
-		g.Coverage.NoteHostRejected(-1)
-	}
-	if hostActive {
-		g.Coverage.SetExpectedHosts(victimEndpoints(sess.topo, victim))
-	}
-	d := diagnosis.Diagnose(s.DiagnosisConfig, g, sess.topo, victim)
+	g, d := core.Assess(ev)
 	res := &core.Result{
 		Trigger:   host.Trigger{Victim: victim, At: sim.Time(atNS)},
 		Diagnosis: d,
@@ -1143,7 +1062,7 @@ func (s *Server) diagnose(sess *session, victim packetFiveTuple, atNS int64) wir
 		InitialNode: int(cause.Port.Node),
 		InitialPort: cause.Port.Port,
 		Rendered:    d.String() + g.String(),
-		Switches:    len(reports),
+		Switches:    len(ev.Reports),
 		Confidence:  d.Confidence.String(),
 		Score:       d.ConfidenceScore,
 		Missing:     d.Missing,

@@ -53,7 +53,7 @@ func TestShedTierOrdering(t *testing.T) {
 	fill := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if _, err := fab.Diagnose(packetFiveTuple{SrcIP: 1, DstIP: 2, Proto: 17}); err != nil {
+			if _, err := fab.DiagnoseAt(packetFiveTuple{SrcIP: 1, DstIP: 2, Proto: 17}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -144,7 +144,7 @@ func TestThrottleRetrySucceeds(t *testing.T) {
 	}
 	defer fab.Close()
 	for i := 0; i < depth-1; i++ {
-		if _, err := fab.Diagnose(packetFiveTuple{SrcIP: 1, DstIP: 2, Proto: 17}); err != nil {
+		if _, err := fab.DiagnoseAt(packetFiveTuple{SrcIP: 1, DstIP: 2, Proto: 17}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

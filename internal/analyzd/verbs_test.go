@@ -89,6 +89,16 @@ func TestVerbTable(t *testing.T) {
 	}
 
 	tp := smallTopo(t)
+	var sw, hostID topo.NodeID
+	for _, n := range tp.Nodes {
+		if n.Kind == topo.KindSwitch {
+			sw = n.ID
+		} else {
+			hostID = n.ID
+		}
+	}
+	victim := packetFiveTuple{SrcIP: 1, DstIP: 2, Proto: 17}
+	diagnose := func(path ...topo.NodeID) string { return string(wire.EncodeDiagnoseRequest(victim, 1, path...)) }
 	for _, tc := range []struct {
 		name    string
 		fabric  bool
@@ -122,6 +132,10 @@ func TestVerbTable(t *testing.T) {
 		{name: "bad repl ack", mt: wire.MsgReplAck, payload: "{", bad: true},
 		// Request verbs are answered, and the session ends.
 		{name: "bad diagnose", fabric: true, mt: wire.MsgDiagnose, payload: "{", reply: wire.MsgError, text: "bad diagnose request: ", bad: true},
+		{name: "diagnose with empty path", fabric: true, mt: wire.MsgDiagnose, payload: diagnose() + "\x00", reply: wire.MsgError, text: "bad diagnose request: ", bad: true},
+		{name: "diagnose with path through a host", fabric: true, mt: wire.MsgDiagnose, payload: diagnose(sw, hostID), reply: wire.MsgError, text: "bad diagnose request: ", bad: true},
+		{name: "diagnose with repeated switch", fabric: true, mt: wire.MsgDiagnose, payload: diagnose(sw, sw), reply: wire.MsgError, text: "bad diagnose request: ", bad: true},
+		{name: "diagnose with path", fabric: true, mt: wire.MsgDiagnose, payload: diagnose(sw), reply: wire.MsgDiagnosis},
 		{name: "bad incident query", mt: wire.MsgQueryIncidents, payload: "{", reply: wire.MsgError, text: "bad incident query: ", bad: true},
 		{name: "bad subscribe", mt: wire.MsgSubscribe, payload: "{", reply: wire.MsgError, text: "bad subscribe request: ", bad: true},
 		{name: "bad rollup query", mt: wire.MsgQueryRollups, payload: "{", reply: wire.MsgError, text: "bad rollup query: ", bad: true},

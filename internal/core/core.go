@@ -20,6 +20,7 @@ import (
 	"hawkeye/internal/sim"
 	"hawkeye/internal/telemetry"
 	"hawkeye/internal/topo"
+	"hawkeye/internal/wire"
 )
 
 // Config aggregates all Hawkeye component configurations.
@@ -311,31 +312,46 @@ func (sys *System) DiagnoseAll() []*Result {
 		}
 		return ids[i] < ids[j]
 	})
+	// One validator for the pass, as for one served session: host
+	// snapshots are taken at their trigger instant, so in trigger order
+	// their timestamps advance per host.
+	v := wire.NewValidator(sys.Cl.Topo)
 	var out []*Result
 	for _, id := range ids {
-		out = append(out, sys.diagnose(sys.sessions[id]))
+		out = append(out, sys.diagnose(sys.sessions[id], v))
 	}
 	return out
 }
 
-func (sys *System) diagnose(s *Session) *Result {
-	reports := make([]*telemetry.Report, 0, len(s.Reports))
+// diagnose admits the session's host snapshots through the wire
+// discipline and assesses the session. Switch reports are taken as
+// collected: sessions share report pointers, so clamping one in place
+// would make the tallies depend on session order.
+func (sys *System) diagnose(s *Session, v *wire.Validator) *Result {
+	t := sys.Cl.Topo
+	ev := Evidence{
+		Topo:    t,
+		Prov:    sys.ProvConfig(),
+		Diag:    sys.Cfg.Diagnosis,
+		Victim:  s.Trigger.Victim,
+		Path:    VictimPath(sys.Cl.Routing, t, s.Trigger.Victim),
+		Reports: make([]*telemetry.Report, 0, len(s.Reports)),
+	}
 	switches := make([]topo.NodeID, 0, len(s.Reports))
 	bytes := 0
 	for id, rep := range s.Reports {
-		reports = append(reports, rep)
+		ev.Reports = append(ev.Reports, rep)
 		switches = append(switches, id)
 		bytes += rep.WireSize()
 	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].Switch < reports[j].Switch })
 	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-	g := provenance.Build(sys.ProvConfig(), reports, sys.Cl.Topo)
-	// Declare what telemetry the analyzer wanted: the victim's path
-	// switches. Under collection faults some never report; coverage feeds
-	// the diagnosis confidence instead of failing silently.
-	g.Coverage.SetExpected(sys.victimPathSwitches(s.Trigger.Victim))
-	sys.admitHostReports(s, g)
-	d := diagnosis.Diagnose(sys.Cfg.Diagnosis, g, sys.Cl.Topo, s.Trigger.Victim)
+	lim := telemetry.HostLimitsFor(t.LinkBandwidth)
+	for _, hr := range s.HostReports {
+		if _, err := ev.AdmitHostReport(v, hr, lim); err == nil {
+			ev.Hosts = append(ev.Hosts, hr)
+		}
+	}
+	g, d := Assess(ev)
 	polled := len(s.Tagged)
 	if polled == 0 {
 		polled = len(switches)
@@ -348,85 +364,6 @@ func (sys *System) diagnose(s *Session) *Result {
 		ReportBytes:    bytes,
 		PolledSwitches: polled,
 		ReadyAt:        s.LastArrival,
-		Detail:         diagnosis.Refine(d.PrimaryCause(), sys.Cl.Routing, sys.Cl.Topo),
+		Detail:         diagnosis.Refine(d.PrimaryCause(), sys.Cl.Routing, t),
 	}
-}
-
-// admitHostReports runs the session's host snapshots through the same
-// admission discipline as switch telemetry — semantic validation,
-// magnitude clamping, coverage accounting — and installs the survivors
-// as provenance host leaves. The coverage EXPECTATION is declared
-// whether or not the channel is enabled: the analyzer always wants host
-// corroboration for the hosts hanging off the victim's path, and a
-// host-facing verdict reached without it must grade as degraded.
-func (sys *System) admitHostReports(s *Session, g *provenance.Graph) {
-	ids := make([]topo.NodeID, 0, len(s.HostReports))
-	for id := range s.HostReports {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	lim := telemetry.HostLimitsFor(sys.Cl.Topo.LinkBandwidth)
-	for _, id := range ids {
-		hr := s.HostReports[id]
-		if err := hr.Validate(); err != nil {
-			g.Coverage.NoteHostRejected(hr.Host)
-			continue
-		}
-		g.Coverage.Clamped += telemetry.SanitizeHostReport(hr, lim)
-		g.AddHostReport(hr, sys.Cl.Topo)
-	}
-	// Declared after admission: the missing set is computed against the
-	// snapshots that actually survived.
-	g.Coverage.SetExpectedHosts(sys.victimPathHosts(s.Trigger.Victim))
-}
-
-// victimPathHosts lists the hosts whose agents the diagnosis expects to
-// hear from: the victim's endpoints plus every host hanging off a
-// victim-path switch's host-facing ports — the candidate culprits for a
-// host-caused stall on this path.
-func (sys *System) victimPathHosts(ft packet.FiveTuple) []topo.NodeID {
-	seen := make(map[topo.NodeID]bool)
-	var out []topo.NodeID
-	add := func(id topo.NodeID) {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	if src, ok := sys.Cl.Topo.HostByIP(ft.SrcIP); ok {
-		add(src)
-	}
-	if dst, ok := sys.Cl.Topo.HostByIP(ft.DstIP); ok {
-		add(dst)
-	}
-	for _, sw := range sys.victimPathSwitches(ft) {
-		for _, p := range sys.Cl.Topo.Node(sw).Ports {
-			if sys.Cl.Topo.Node(p.Peer).Kind == topo.KindHost {
-				add(p.Peer)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// victimPathSwitches lists the switches on the victim's ECMP-resolved
-// path — the coverage expectation for its diagnosis.
-func (sys *System) victimPathSwitches(ft packet.FiveTuple) []topo.NodeID {
-	src, ok1 := sys.Cl.Topo.HostByIP(ft.SrcIP)
-	dst, ok2 := sys.Cl.Topo.HostByIP(ft.DstIP)
-	if !ok1 || !ok2 {
-		return nil
-	}
-	refs, err := sys.Cl.Routing.PortPath(src, dst, ft.Hash())
-	if err != nil {
-		return nil
-	}
-	var out []topo.NodeID
-	for _, r := range refs {
-		if sys.Cl.Topo.Node(r.Node).Kind == topo.KindSwitch {
-			out = append(out, r.Node)
-		}
-	}
-	return out
 }

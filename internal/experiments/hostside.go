@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hawkeye/internal/chaos"
-	"hawkeye/internal/diagnosis"
 	"hawkeye/internal/metrics"
 	"hawkeye/internal/workload"
 )
@@ -109,48 +108,9 @@ func MixedRobustnessSchedule(rate float64) *chaos.Schedule {
 func (r *Runner) RunMixedRobustnessCurve(seed uint64, rates []float64, trials int) (*metrics.RobustnessCurve, error) {
 	scens := workload.MixedScenarios()
 	perRate := len(scens) * trials
-	n := len(rates) * perRate
-	samples, err := mapOrdered(r, n, func(i int) (robustnessSample, error) {
-		rate := rates[i/perRate]
-		scen := scens[(i%perRate)/trials]
-		cfg := DefaultTrialConfig(scen, seed+uint64(i%trials))
-		cfg.Chaos = MixedRobustnessSchedule(rate)
-		tr, err := RunTrial(cfg)
-		if err != nil {
-			return robustnessSample{}, err
-		}
-		s := robustnessSample{score: tr.Score}
-		if tr.Score.Result != nil {
-			d := tr.Score.Result.Diagnosis
-			s.hasResult = true
-			s.confidence = d.ConfidenceScore
-			s.highConfWrong = !tr.Score.Correct && d.Confidence == diagnosis.ConfHigh
-		}
-		return s, nil
+	return r.runCurve("mixed-host", rates, perRate, func(i int) TrialConfig {
+		cfg := DefaultTrialConfig(scens[(i%perRate)/trials], seed+uint64(i%trials))
+		cfg.Chaos = MixedRobustnessSchedule(rates[i/perRate])
+		return cfg
 	})
-	if err != nil {
-		return nil, err
-	}
-	curve := &metrics.RobustnessCurve{Name: "mixed-host"}
-	for ri, rate := range rates {
-		pt := metrics.RobustnessPoint{FaultRate: rate}
-		confSum, confN := 0.0, 0
-		for t := 0; t < perRate; t++ {
-			s := samples[ri*perRate+t]
-			pt.PR.Add(s.score)
-			pt.Trials++
-			if s.hasResult {
-				confSum += s.confidence
-				confN++
-				if s.highConfWrong {
-					pt.HighConfWrong++
-				}
-			}
-		}
-		if confN > 0 {
-			pt.AvgConfidence = confSum / float64(confN)
-		}
-		curve.Points = append(curve.Points, pt)
-	}
-	return curve, nil
 }

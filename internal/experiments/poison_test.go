@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"errors"
 	"sort"
 	"testing"
 
+	"hawkeye/internal/core"
 	"hawkeye/internal/diagnosis"
 	"hawkeye/internal/packet"
 	"hawkeye/internal/provenance"
@@ -15,50 +15,51 @@ import (
 	"hawkeye/internal/workload"
 )
 
-// admitAndDiagnose replays the analyzer's full admission path — strict
-// decode, semantic validation, magnitude sanitization, provenance build,
-// coverage folding — over raw report blobs, exactly as analyzd does for
-// frames off the wire. Undecodable blobs are dropped (their switch goes
-// silent); validator rejections are noted per switch; clamps count
-// against confidence.
-func admitAndDiagnose(blobs [][]byte, tp *topo.Topology, epochNS int64, victim packet.FiveTuple) *diagnosis.Report {
+// admitAndDiagnose replays the analyzer's full path over raw report
+// blobs, exactly as analyzd does for frames off the wire: strict decode,
+// then admission (semantic validation, magnitude sanitization, the
+// freshest report per node kept), then the one verdict assembly.
+// Undecodable blobs are dropped (their switch goes silent); rejections
+// and clamps count against confidence.
+func admitAndDiagnose(blobs, hostBlobs [][]byte, tp *topo.Topology, epochNS int64, victim packet.FiveTuple, path []topo.NodeID) *diagnosis.Report {
 	v := wire.NewValidator(tp)
 	lim := telemetry.LimitsFor(tp.LinkBandwidth, epochNS)
-	var (
-		reports         []*telemetry.Report
-		rejected        = map[topo.NodeID]int{}
-		rejectedUnknown int
-		clamped         int
-	)
+	hostLim := telemetry.HostLimitsFor(tp.LinkBandwidth)
+	ev := core.Evidence{
+		Topo:   tp,
+		Prov:   provenance.DefaultConfig(tp.LinkBandwidth, epochNS),
+		Diag:   diagnosis.DefaultConfig(),
+		Victim: victim,
+		Path:   path,
+	}
+	reports := map[topo.NodeID]*telemetry.Report{}
 	for _, b := range blobs {
 		r := &telemetry.Report{}
-		if err := r.UnmarshalBinary(b); err != nil {
+		if r.UnmarshalBinary(b) != nil {
 			continue
 		}
-		if err := v.CheckReport(r); err != nil {
-			var re *wire.ReportError
-			if errors.As(err, &re) && re.SwitchKnown {
-				rejected[re.Switch]++
-			} else {
-				rejectedUnknown++
-			}
+		if _, err := ev.AdmitReport(v, r, lim); err == nil {
+			reports[r.Switch] = r
+		}
+	}
+	hosts := map[topo.NodeID]*telemetry.HostReport{}
+	for _, b := range hostBlobs {
+		hr := &telemetry.HostReport{}
+		if hr.UnmarshalBinary(b) != nil {
 			continue
 		}
-		clamped += telemetry.SanitizeReport(r, lim)
-		reports = append(reports, r)
-	}
-	cfg := provenance.DefaultConfig(tp.LinkBandwidth, epochNS)
-	g := provenance.Build(cfg, reports, tp)
-	for sw, n := range rejected {
-		for i := 0; i < n; i++ {
-			g.Coverage.NoteRejected(sw)
+		if _, err := ev.AdmitHostReport(v, hr, hostLim); err == nil {
+			hosts[hr.Host] = hr
 		}
 	}
-	for i := 0; i < rejectedUnknown; i++ {
-		g.Coverage.NoteRejected(-1)
+	for _, r := range reports {
+		ev.Reports = append(ev.Reports, r)
 	}
-	g.Coverage.Clamped += clamped
-	return diagnosis.Diagnose(diagnosis.DefaultConfig(), g, tp, victim)
+	for _, hr := range hosts {
+		ev.Hosts = append(ev.Hosts, hr)
+	}
+	_, d := core.Assess(ev)
+	return d
 }
 
 // TestPoisonedTelemetryNeverConfidentlyWrong is the containment property
@@ -91,8 +92,19 @@ func TestPoisonedTelemetryNeverConfidentlyWrong(t *testing.T) {
 		}
 		blobs = append(blobs, b)
 	}
+	// The scored session's host snapshots and declared path ride along,
+	// as a fabric with host agents sends them; they are never corrupted.
+	var hostBlobs [][]byte
+	for _, hr := range tr.Sys.Sessions()[tr.Score.Result.Trigger.DiagID].HostReports {
+		b, err := hr.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hostBlobs = append(hostBlobs, b)
+	}
+	path := core.VictimPath(tr.Cl.Routing, tp, victim)
 
-	base := admitAndDiagnose(blobs, tp, epochNS, victim)
+	base := admitAndDiagnose(blobs, hostBlobs, tp, epochNS, victim, path)
 	if base.Confidence != diagnosis.ConfHigh {
 		t.Fatalf("baseline confidence %v (%.2f) — property would be vacuous", base.Confidence, base.ConfidenceScore)
 	}
@@ -121,7 +133,7 @@ func TestPoisonedTelemetryNeverConfidentlyWrong(t *testing.T) {
 						trial, ri, bi, delta, r)
 				}
 			}()
-			d := admitAndDiagnose(poisoned, tp, epochNS, victim)
+			d := admitAndDiagnose(poisoned, hostBlobs, tp, epochNS, victim, path)
 			if d.Confidence == diagnosis.ConfHigh && d.Type != base.Type {
 				t.Fatalf("trial %d (report %d byte %d ^= %#x): confidently wrong — %v at %.2f, baseline %v",
 					trial, ri, bi, delta, d.Type, d.ConfidenceScore, base.Type)

@@ -33,12 +33,18 @@ type robustnessSample struct {
 // from the trial seed, not from sweep position — so the folded curve is
 // identical at any worker count.
 func (r *Runner) RunRobustnessCurve(scenario string, seed uint64, rates []float64, trials int) (*metrics.RobustnessCurve, error) {
-	n := len(rates) * trials
-	samples, err := mapOrdered(r, n, func(i int) (robustnessSample, error) {
-		rate := rates[i/trials]
+	return r.runCurve(scenario, rates, trials, func(i int) TrialConfig {
 		cfg := DefaultTrialConfig(scenario, seed+uint64(i%trials))
-		cfg.Chaos = RobustnessSchedule(rate)
-		tr, err := RunTrial(cfg)
+		cfg.Chaos = RobustnessSchedule(rates[i/trials])
+		return cfg
+	})
+}
+
+// runCurve runs perRate trials at each fault rate — trial i built by
+// cfg(i), rate i/perRate — and folds them into one point per rate.
+func (r *Runner) runCurve(name string, rates []float64, perRate int, cfg func(i int) TrialConfig) (*metrics.RobustnessCurve, error) {
+	samples, err := mapOrdered(r, len(rates)*perRate, func(i int) (robustnessSample, error) {
+		tr, err := RunTrial(cfg(i))
 		if err != nil {
 			return robustnessSample{}, err
 		}
@@ -54,12 +60,12 @@ func (r *Runner) RunRobustnessCurve(scenario string, seed uint64, rates []float6
 	if err != nil {
 		return nil, err
 	}
-	curve := &metrics.RobustnessCurve{Name: scenario}
+	curve := &metrics.RobustnessCurve{Name: name}
 	for ri, rate := range rates {
 		pt := metrics.RobustnessPoint{FaultRate: rate}
 		confSum, confN := 0.0, 0
-		for t := 0; t < trials; t++ {
-			s := samples[ri*trials+t]
+		for t := 0; t < perRate; t++ {
+			s := samples[ri*perRate+t]
 			pt.PR.Add(s.score)
 			pt.Trials++
 			if s.hasResult {

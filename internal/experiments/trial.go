@@ -12,13 +12,11 @@ import (
 	"hawkeye/internal/chaos"
 	"hawkeye/internal/cluster"
 	"hawkeye/internal/core"
-	"hawkeye/internal/diagnosis"
 	"hawkeye/internal/host"
 	"hawkeye/internal/metrics"
 	"hawkeye/internal/netsight"
 	"hawkeye/internal/packet"
 	"hawkeye/internal/pfcwd"
-	"hawkeye/internal/provenance"
 	"hawkeye/internal/sim"
 	"hawkeye/internal/spidermon"
 	"hawkeye/internal/telemetry"
@@ -308,34 +306,13 @@ func RunTrial(cfg TrialConfig) (*Trial, error) {
 				break
 			}
 		}
-		tr.View.VictimPath = pathSwitchesOf(cl, tr.Score.Result.Trigger.Victim)
+		tr.View.VictimPath = core.VictimPath(cl.Routing, cl.Topo, tr.Score.Result.Trigger.Victim)
 	}
 	if tr.View.AllSwitches == nil && len(tr.allSnaps) > 0 {
 		tr.View.AllSwitches = tr.allSnaps[0].reports
 	}
 	tr.Stats = tr.traceStats()
 	return tr, nil
-}
-
-// pathSwitchesOf lists the switches on a flow's path (ECMP-resolved the
-// same way the data plane does).
-func pathSwitchesOf(cl *cluster.Cluster, ft packet.FiveTuple) []topo.NodeID {
-	src, ok1 := cl.Topo.HostByIP(ft.SrcIP)
-	dst, ok2 := cl.Topo.HostByIP(ft.DstIP)
-	if !ok1 || !ok2 {
-		return nil
-	}
-	refs, err := cl.Routing.PortPath(src, dst, ft.Hash())
-	if err != nil {
-		return nil
-	}
-	var out []topo.NodeID
-	for _, r := range refs {
-		if cl.Topo.Node(r.Node).Kind == topo.KindSwitch {
-			out = append(out, r.Node)
-		}
-	}
-	return out
 }
 
 // traceStats summarizes the trace for the overhead models.
@@ -351,9 +328,6 @@ func (tr *Trial) traceStats() baselines.TraceStats {
 	ts.Diagnoses = len(tr.Sys.Triggers())
 	ts.AvgHops = tr.avgHops()
 	ts.VictimPathLen = len(tr.View.VictimPath)
-	if ts.VictimPathLen == 0 && tr.Score.Result != nil {
-		ts.VictimPathLen = len(pathSwitchesOf(tr.Cl, tr.Score.Result.Trigger.Victim))
-	}
 	return ts
 }
 
@@ -362,7 +336,7 @@ func (tr *Trial) avgHops() float64 {
 	total, n := 0, 0
 	count := func(set map[packet.FiveTuple]bool) {
 		for ft := range set {
-			if hops := len(pathSwitchesOf(tr.Cl, ft)); hops > 0 {
+			if hops := len(core.VictimPath(tr.Cl.Routing, tr.Cl.Topo, ft)); hops > 0 {
 				total += hops
 				n++
 			}
@@ -385,10 +359,22 @@ func (tr *Trial) BaselineScore(kind baselines.Kind) metrics.TrialScore {
 	if tr.Score.Result == nil {
 		return metrics.TrialScore{Reason: "no trigger"}
 	}
-	reports := kind.Reports(tr.View)
+	return tr.rescore(kind.Reports(tr.View))
+}
+
+// rescore assesses the scored complaint again from another view's
+// switch reports and scores that verdict. The view carries no host-agent
+// snapshots, so host-facing verdicts grade as uncorroborated.
+func (tr *Trial) rescore(reports []*telemetry.Report) metrics.TrialScore {
 	trigger := tr.Score.Result.Trigger
-	g := provenance.Build(tr.Sys.ProvConfig(), reports, tr.Cl.Topo)
-	d := diagnosis.Diagnose(diagnosis.DefaultConfig(), g, tr.Cl.Topo, trigger.Victim)
+	g, d := core.Assess(core.Evidence{
+		Topo:    tr.Cl.Topo,
+		Prov:    tr.Sys.ProvConfig(),
+		Diag:    tr.Sys.Cfg.Diagnosis,
+		Victim:  trigger.Victim,
+		Path:    tr.View.VictimPath,
+		Reports: reports,
+	})
 	res := &core.Result{Trigger: trigger, Graph: g, Diagnosis: d}
 	return metrics.ScoreResults(metrics.DefaultScoreConfig(), []*core.Result{res}, tr.GT, tr.Cl.Topo)
 }
@@ -421,11 +407,7 @@ func (tr *Trial) ScoreWithBinaryMeter() metrics.TrialScore {
 		}
 		reports = append(reports, &cp)
 	}
-	trigger := tr.Score.Result.Trigger
-	g := provenance.Build(tr.Sys.ProvConfig(), reports, tr.Cl.Topo)
-	d := diagnosis.Diagnose(diagnosis.DefaultConfig(), g, tr.Cl.Topo, trigger.Victim)
-	res := &core.Result{Trigger: trigger, Graph: g, Diagnosis: d}
-	return metrics.ScoreResults(metrics.DefaultScoreConfig(), []*core.Result{res}, tr.GT, tr.Cl.Topo)
+	return tr.rescore(reports)
 }
 
 // runTrialWithDedup is RunTrial with an explicit polling dedup window

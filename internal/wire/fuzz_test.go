@@ -28,7 +28,7 @@ func FuzzReadFrame(f *testing.F) {
 	// A header claiming a body far beyond MaxFrame.
 	huge := []byte{0x80, 0, 0, 0, byte(MsgReport)}
 	f.Add(huge)
-	// A header claiming MaxFrame behind a 64-byte-capped type.
+	// A header claiming MaxFrame behind a tightly capped type.
 	over := make([]byte, 5)
 	binary.BigEndian.PutUint32(over, MaxFrame)
 	over[4] = byte(MsgDiagnose)
@@ -74,7 +74,7 @@ func FuzzReplicationRecord(f *testing.F) {
 	// Structural bound violations.
 	f.Add(EncodeReplRecord(10, []byte(`{"Score":7.5}`)))
 	f.Add(EncodeReplRecord(11, []byte(`{"At":-1}`)))
-	f.Add([]byte{0, 0, 0, 1})   // short header
+	f.Add([]byte{0, 0, 0, 1}) // short header
 	f.Add(EncodeReplRecord(12, []byte(`not json`)))
 	f.Add([]byte{})
 

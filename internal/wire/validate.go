@@ -19,8 +19,9 @@ import (
 // trusts it.
 
 // Payload caps per message type. Client->server verbs (the hostile
-// direction) are tight: a MsgDiagnose is a 13-byte 5-tuple plus an
-// optional 8-byte timestamp and has no business approaching MaxFrame.
+// direction) are tight: a MsgDiagnose is a 13-byte 5-tuple, an 8-byte
+// timestamp and an optional declared path of at most MaxDeclaredPath
+// 4-byte switch IDs, and has no business approaching MaxFrame.
 // Server->client replies stay generous — incident lists and rendered
 // diagnoses legitimately grow with the fabric.
 const (
@@ -40,6 +41,9 @@ const (
 	// a fixed 64-byte register dump, so even with format growth a frame
 	// beyond a few hundred bytes is hostile, not telemetry.
 	capHostReport = 256
+	// capDiagnose fits the longest MsgDiagnose: tuple, time, count byte
+	// and MaxDeclaredPath switch IDs (86 bytes).
+	capDiagnose = diagnoseHead + 1 + 4*MaxDeclaredPath
 )
 
 // payloadCaps maps each known message type to its maximum payload size.
@@ -47,7 +51,7 @@ var payloadCaps = [...]int{
 	MsgHello:            capHello,
 	MsgHelloOK:          capEmpty,
 	MsgReport:           MaxFrame,
-	MsgDiagnose:         64,
+	MsgDiagnose:         capDiagnose,
 	MsgDiagnosis:        MaxFrame,
 	MsgError:            capError,
 	MsgIncidents:        capEmpty,
@@ -327,6 +331,20 @@ func (v *Validator) CheckHostReport(r *telemetry.HostReport) error {
 		return reject(id, true, "snapshot time %d regressed below admitted %d", r.Taken, last)
 	}
 	v.lastTaken[id] = int64(r.Taken)
+	return nil
+}
+
+// CheckPath admits the victim path a complaint declares: every ID must
+// name a switch of the handshake topology, and none may repeat (a
+// resolved path crosses each switch once).
+func (v *Validator) CheckPath(path []topo.NodeID) error {
+	seen := make(map[topo.NodeID]bool, len(path))
+	for _, sw := range path {
+		if int(sw) < 0 || int(sw) >= len(v.isSwitch) || !v.isSwitch[sw] || seen[sw] {
+			return fmt.Errorf("%w: declared path names node %d, not a distinct switch of the handshake topology", ErrBadRequest, sw)
+		}
+		seen[sw] = true
+	}
 	return nil
 }
 

@@ -234,11 +234,56 @@ func TestValidatorMonotonicity(t *testing.T) {
 func TestDiagnoseRequestRejectsTrailingGarbage(t *testing.T) {
 	ft := packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 17}
 	body := EncodeDiagnoseRequest(ft, 99)
-	for _, n := range []int{packet.FiveTupleLen + 1, packet.FiveTupleLen + 7, packet.FiveTupleLen + 9, 64} {
+	// The retired bare tuple, stray bytes after the time, and a payload
+	// short of its own declared count are all malformed.
+	for _, n := range []int{packet.FiveTupleLen, packet.FiveTupleLen + 1, packet.FiveTupleLen + 7, packet.FiveTupleLen + 9, 64} {
 		b := make([]byte, n)
 		copy(b, body)
-		if _, _, err := DecodeDiagnoseRequest(b); !errors.Is(err, ErrBadRequest) {
+		if n > len(body) {
+			b[len(body)] = 1
+		}
+		if _, _, _, err := DecodeDiagnoseRequest(b); !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("%d-byte diagnose payload: %v", n, err)
+		}
+	}
+	withPath := EncodeDiagnoseRequest(ft, 99, 16, 20)
+	for name, b := range map[string][]byte{
+		"zero count":     append(append([]byte(nil), body...), 0),
+		"count over 16":  append(append(append([]byte(nil), body...), MaxDeclaredPath+1), make([]byte, 4*(MaxDeclaredPath+1))...),
+		"trailing bytes": append(append([]byte(nil), withPath...), 0),
+		"truncated ID":   withPath[:len(withPath)-1],
+	} {
+		if _, _, _, err := DecodeDiagnoseRequest(b); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestValidatorCheckPath: a declared path must name switches of the
+// handshake topology, each once.
+func TestValidatorCheckPath(t *testing.T) {
+	tp := chainTopo(t)
+	v := NewValidator(tp)
+	var sws []topo.NodeID
+	host := topo.NodeID(-1)
+	for _, n := range tp.Nodes {
+		if n.Kind == topo.KindSwitch {
+			sws = append(sws, n.ID)
+		} else {
+			host = n.ID
+		}
+	}
+	if err := v.CheckPath(sws); err != nil {
+		t.Fatalf("honest path rejected: %v", err)
+	}
+	for name, path := range map[string][]topo.NodeID{
+		"host":     {sws[0], host},
+		"unknown":  {topo.NodeID(len(tp.Nodes))},
+		"negative": {-1},
+		"repeat":   {sws[0], sws[1], sws[0]},
+	} {
+		if err := v.CheckPath(path); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"io"
 
 	"hawkeye/internal/packet"
+	"hawkeye/internal/topo"
 )
 
 // MsgType identifies a frame.
@@ -26,7 +27,8 @@ const (
 	MsgHelloOK MsgType = 2
 	// MsgReport carries one switch telemetry report (binary encoding).
 	MsgReport MsgType = 3
-	// MsgDiagnose asks for a diagnosis: the victim 5-tuple.
+	// MsgDiagnose asks for a diagnosis: the victim 5-tuple, the trigger
+	// time and, optionally, the victim's declared path.
 	MsgDiagnose MsgType = 4
 	// MsgDiagnosis is the reply: JSON Diagnosis payload.
 	MsgDiagnosis MsgType = 5
@@ -589,13 +591,27 @@ func WriteJSON(w io.Writer, t MsgType, v any) error {
 	return WriteFrame(w, t, data)
 }
 
-// EncodeDiagnoseRequest serializes the victim 5-tuple plus the trigger
-// time in nanoseconds (used by the incident grouping; 0 if unknown).
-func EncodeDiagnoseRequest(victim packet.FiveTuple, atNS int64) []byte {
-	tup, _ := victim.MarshalBinary() // cannot fail: fixed-size layout
-	b := make([]byte, packet.FiveTupleLen+8)
-	copy(b, tup)
-	binary.BigEndian.PutUint64(b[packet.FiveTupleLen:], uint64(atNS))
+// MaxDeclaredPath bounds the victim path a MsgDiagnose may declare.
+const MaxDeclaredPath = 16
+
+// diagnoseHead is the part of a MsgDiagnose every shape carries: the
+// victim 5-tuple and the trigger time.
+const diagnoseHead = packet.FiveTupleLen + 8
+
+// EncodeDiagnoseRequest serializes the victim 5-tuple, the trigger time
+// in nanoseconds (used by the incident grouping; 0 if unknown) and,
+// optionally, the switches the victim's path crossed — at most
+// MaxDeclaredPath of them, each once. A request without a path is 21
+// bytes and leaves the analyzer's switch expectation unknown.
+func EncodeDiagnoseRequest(victim packet.FiveTuple, atNS int64, path ...topo.NodeID) []byte {
+	b, _ := victim.MarshalBinary() // cannot fail: fixed-size layout
+	b = binary.BigEndian.AppendUint64(b, uint64(atNS))
+	if len(path) > 0 {
+		b = append(b, byte(len(path)))
+		for _, sw := range path {
+			b = binary.BigEndian.AppendUint32(b, uint32(sw))
+		}
+	}
 	return b
 }
 
@@ -651,23 +667,26 @@ func DecodeReplSnapshot(b []byte) (seq uint64, payload []byte, err error) {
 // ErrBadRequest reports a malformed request payload.
 var ErrBadRequest = errors.New("wire: malformed request")
 
-// DecodeDiagnoseRequest parses a MsgDiagnose payload. The timestamp is
-// optional for backward compatibility: a bare 13-byte tuple decodes with
-// atNS = 0. Any other length is rejected — the payload has exactly two
-// valid shapes, and trailing garbage means a corrupted or hostile frame,
-// not a newer client.
-func DecodeDiagnoseRequest(b []byte) (packet.FiveTuple, int64, error) {
+// DecodeDiagnoseRequest parses a MsgDiagnose payload. It has exactly two
+// shapes: the 21-byte tuple and time, or those followed by a 1-byte
+// count n (1..MaxDeclaredPath) and n big-endian uint32 switch IDs. Any
+// other length is rejected: trailing garbage means a corrupted or
+// hostile frame, not a newer client. Whether the IDs name switches is
+// the Validator's to check.
+func DecodeDiagnoseRequest(b []byte) (packet.FiveTuple, int64, []topo.NodeID, error) {
 	var ft packet.FiveTuple
-	if len(b) != packet.FiveTupleLen && len(b) != packet.FiveTupleLen+8 {
-		return ft, 0, fmt.Errorf("%w: diagnose payload is %d bytes, want %d or %d",
-			ErrBadRequest, len(b), packet.FiveTupleLen, packet.FiveTupleLen+8)
+	n := 0
+	if len(b) > diagnoseHead {
+		n = int(b[diagnoseHead])
 	}
-	if err := ft.UnmarshalBinary(b); err != nil {
-		return ft, 0, err
+	if len(b) < diagnoseHead || (len(b) > diagnoseHead && (n == 0 || n > MaxDeclaredPath || len(b) != diagnoseHead+1+4*n)) {
+		return ft, 0, nil, fmt.Errorf("%w: %d-byte diagnose payload, want %d, or %d plus a count of 1 to %d and that many switch IDs",
+			ErrBadRequest, len(b), diagnoseHead, diagnoseHead, MaxDeclaredPath)
 	}
-	var at int64
-	if len(b) == packet.FiveTupleLen+8 {
-		at = int64(binary.BigEndian.Uint64(b[packet.FiveTupleLen:]))
+	_ = ft.UnmarshalBinary(b) // cannot fail: the length is checked
+	var path []topo.NodeID
+	for i := 0; i < n; i++ {
+		path = append(path, topo.NodeID(binary.BigEndian.Uint32(b[diagnoseHead+1+4*i:])))
 	}
-	return ft, at, nil
+	return ft, int64(binary.BigEndian.Uint64(b[packet.FiveTupleLen:])), path, nil
 }

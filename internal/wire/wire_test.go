@@ -3,11 +3,13 @@ package wire
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"hawkeye/internal/packet"
+	"hawkeye/internal/topo"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -92,20 +94,28 @@ func TestTruncatedFrames(t *testing.T) {
 
 func TestDiagnoseRequestRoundTrip(t *testing.T) {
 	want := packet.FiveTuple{SrcIP: 0x0A000001, DstIP: 0x0A000010, SrcPort: 1027, DstPort: 4791, Proto: 17}
-	got, at, err := DecodeDiagnoseRequest(EncodeDiagnoseRequest(want, 123456789))
-	if err != nil {
-		t.Fatal(err)
+	full := make([]topo.NodeID, MaxDeclaredPath)
+	for i := range full {
+		full[i] = topo.NodeID(100 + i)
 	}
-	if got != want || at != 123456789 {
-		t.Fatalf("request mangled: %+v at=%d", got, at)
+	for _, path := range [][]topo.NodeID{nil, {16, 0, 20}, full} {
+		b := EncodeDiagnoseRequest(want, 123456789, path...)
+		got, at, gotPath, err := DecodeDiagnoseRequest(b)
+		if err != nil {
+			t.Fatalf("%d-switch path: %v", len(path), err)
+		}
+		if got != want || at != 123456789 || !reflect.DeepEqual(gotPath, path) {
+			t.Fatalf("request mangled: %+v at=%d path=%v, want path %v", got, at, gotPath, path)
+		}
+		if len(b) > PayloadCap(MsgDiagnose) {
+			t.Fatalf("%d-switch request is %d bytes, over the %d-byte cap", len(path), len(b), PayloadCap(MsgDiagnose))
+		}
 	}
-	// Bare 13-byte tuple (no timestamp) still decodes.
-	tup, _ := want.MarshalBinary()
-	got2, at2, err := DecodeDiagnoseRequest(tup)
-	if err != nil || got2 != want || at2 != 0 {
-		t.Fatalf("bare tuple decode: %+v at=%d err=%v", got2, at2, err)
+	// A request declaring no path keeps the 21-byte shape.
+	if n := len(EncodeDiagnoseRequest(want, 1)); n != packet.FiveTupleLen+8 {
+		t.Fatalf("pathless request is %d bytes, want %d", n, packet.FiveTupleLen+8)
 	}
-	if _, _, err := DecodeDiagnoseRequest([]byte{1, 2, 3}); err == nil {
+	if _, _, _, err := DecodeDiagnoseRequest([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short request accepted")
 	}
 }
