@@ -3,15 +3,22 @@
 GO ?= go
 comma := ,
 
-# run-tests is `go test -run '<regex>' <flags and package>` that fails
-# when the regex matches nothing: `go test -run` exits 0 on "no tests to
-# run", so a renamed test would otherwise turn its smoke line into a
-# silent pass. $(1) is the regex, $(2) the rest of the command line.
+# run-tests is `go test -run '<regex>' <flags and packages>` that fails
+# when any |-separated alternative of the regex matches no test: `go
+# test -run` exits 0 on "no tests to run", and a dead alternative inside
+# 'TestA|TestB' passes on its live sibling, so a renamed test would
+# otherwise turn its part of a smoke line into a silent pass. The
+# alternatives are checked against one `go test -list .` of the same
+# command line. $(1) is the regex, $(2) the rest of the command line.
 define run-tests
 @echo "$(GO) test -run '$(1)' $(2)"; \
+list=`$(GO) test -list . $(2) 2>&1` || { echo "$$list"; exit 1; }; \
+list=`echo "$$list" | grep -E '^(Test|Fuzz|Example|Benchmark)'`; \
+alts='$(1)'; set -f; IFS='|'; \
+for alt in $$alts; do echo "$$list" | grep -qE -- "$$alt" || { echo "FAIL: -run alternative '$$alt' matches no test" >&2; exit 1; }; done; \
+unset IFS; set +f; \
 out=`$(GO) test -run '$(1)' $(2) 2>&1`; rc=$$?; echo "$$out"; \
-[ $$rc -eq 0 ] || exit $$rc; \
-case "$$out" in *"no tests to run"*) echo "FAIL: -run '$(1)' matched no tests" >&2; exit 1;; esac
+[ $$rc -eq 0 ] || exit $$rc
 endef
 
 .PHONY: check build vet test race no-poll sync-stress benchmark fleet-race chaos-smoke recovery-smoke fuzz-smoke rollup-smoke cluster-smoke reshard-smoke host-smoke

@@ -11,6 +11,7 @@ import (
 	"hawkeye/internal/chaos"
 	"hawkeye/internal/core"
 	"hawkeye/internal/experiments"
+	"hawkeye/internal/telemetry"
 	"hawkeye/internal/topo"
 	"hawkeye/internal/wire"
 	"hawkeye/internal/workload"
@@ -120,6 +121,103 @@ func TestEndToEndDiagnosis(t *testing.T) {
 				t.Fatalf("admission rejected %d+%d reports and clamped %d values", st.RejectedReports, st.RejectedHostReports, st.ClampedValues)
 			}
 		})
+	}
+}
+
+// TestChangedReportSetRebuilds: a session keeps the graph of its last
+// report set, so a push between two complaints must rebuild it. After a
+// replacement report and a rejected one, the second verdict is exactly
+// what a fresh session makes of the same evidence.
+func TestChangedReportSetRebuilds(t *testing.T) {
+	tr, err := experiments.RunTrial(experiments.DefaultTrialConfig(workload.NameStorm, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := tr.Score.Result
+	if local == nil {
+		t.Fatal("trial produced no diagnosis")
+	}
+	sess := tr.Sys.Sessions()[local.Trigger.DiagID]
+	victim, at := local.Trigger.Victim, int64(local.Trigger.At)
+	path := core.VictimPath(tr.Cl.Routing, tr.Cl.Topo, victim)
+
+	// The replacement keeps the newer half of the epochs of the report
+	// with the most of them: same switch, different graph.
+	var old *telemetry.Report
+	for _, rep := range sess.Reports {
+		if old == nil || len(rep.Epochs) > len(old.Epochs) || len(rep.Epochs) == len(old.Epochs) && rep.Switch < old.Switch {
+			old = rep
+		}
+	}
+	if len(old.Epochs) < 2 {
+		t.Fatalf("largest report has %d epochs, want 2 or more", len(old.Epochs))
+	}
+	repl := *old
+	repl.Epochs = old.Epochs[:len(old.Epochs)/2]
+	rejected := garbageReport(t)
+
+	s := newServer(t)
+	dial := func() *Client {
+		c, err := Dial(s.Addr(), tr.Cl.Topo, int64(tr.Sys.Cfg.Telemetry.EpochSize()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	push := func(c *Client, reps ...*telemetry.Report) {
+		for _, rep := range reps {
+			if err := c.SendReport(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pushHosts := func(c *Client) {
+		for _, hr := range sess.HostReports {
+			if err := c.SendHostReport(hr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	diagnose := func(c *Client) wire.Diagnosis {
+		d, err := c.DiagnoseAt(victim, at, path...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *d
+	}
+	var setA, setB []*telemetry.Report
+	for _, rep := range sess.Reports {
+		setA = append(setA, rep)
+		if rep != old {
+			setB = append(setB, rep)
+		}
+	}
+	setB = append(setB, &repl)
+
+	c := dial()
+	push(c, setA...)
+	pushHosts(c)
+	first := diagnose(c)
+	push(c, &repl)
+	if err := wire.WriteFrame(c.conn, wire.MsgReport, rejected); err != nil {
+		t.Fatal(err)
+	}
+	second := diagnose(c)
+
+	fresh := dial()
+	push(fresh, setB...)
+	pushHosts(fresh)
+	if err := wire.WriteFrame(fresh.conn, wire.MsgReport, rejected); err != nil {
+		t.Fatal(err)
+	}
+	want := diagnose(fresh)
+
+	if !reflect.DeepEqual(second, want) {
+		t.Fatalf("verdict after the push differs from a fresh session's:\n  got:  %+v\n  want: %+v", second, want)
+	}
+	if second.Rendered == first.Rendered {
+		t.Fatal("replacing a report left the rendered verdict unchanged")
 	}
 }
 

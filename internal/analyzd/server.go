@@ -477,6 +477,9 @@ type session struct {
 	// freshest host-agent counter snapshot per host.
 	reports     map[topo.NodeID]*telemetry.Report
 	hostReports map[topo.NodeID]*telemetry.HostReport
+	// assessor keeps the graph of the last report set diagnosed, so
+	// complaints between two report pushes share one build.
+	assessor core.Assessor
 	// history records completed diagnoses for incident grouping (trigger
 	// order, the order requests arrive).
 	history []*core.Result
@@ -1041,7 +1044,7 @@ func (s *Server) diagnose(sess *session, victim packetFiveTuple, atNS int64, pat
 	for _, hr := range sess.hostReports {
 		ev.Hosts = append(ev.Hosts, hr)
 	}
-	g, d := core.Assess(ev)
+	g, d := sess.assessor.Assess(ev)
 	res := &core.Result{
 		Trigger:   host.Trigger{Victim: victim, At: sim.Time(atNS)},
 		Diagnosis: d,

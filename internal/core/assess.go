@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"hawkeye/internal/diagnosis"
@@ -88,9 +89,37 @@ func tally(m map[topo.NodeID]int, err error) map[topo.NodeID]int {
 // switch (the candidate culprits of a host-caused stall on that path).
 // A fleet without host agents therefore grades host-facing verdicts as
 // uncorroborated, which is what they are.
+//
+// Assess is the one-shot form: it builds the graph for this complaint
+// alone. An Assessor shares one build across complaints.
 func Assess(ev Evidence) (*provenance.Graph, *diagnosis.Report) {
+	var a Assessor
+	return a.Assess(ev)
+}
+
+// Assessor assesses a stream of complaints, building the provenance
+// graph once per distinct report set and giving each complaint a fork
+// of it (provenance.Graph.Fork). The zero value is ready to use; it is
+// not safe for concurrent use.
+//
+// It remembers exactly one build, keyed on the topology, the provenance
+// config and the identity of every report. One entry is enough because
+// complaints that share a report set arrive together: in trigger order
+// the set changes only when a new collection lands. Pointer identity is
+// a safe key because a report is never modified once it reaches the
+// analyzer, and the remembered pointers keep their reports alive, so no
+// new report can take one of their addresses.
+type Assessor struct {
+	topo    *topo.Topology
+	prov    provenance.Config
+	reports []*telemetry.Report
+	graph   *provenance.Graph
+}
+
+// Assess is the package-level Assess over the remembered build.
+func (a *Assessor) Assess(ev Evidence) (*provenance.Graph, *diagnosis.Report) {
 	sort.Slice(ev.Reports, func(i, j int) bool { return ev.Reports[i].Switch < ev.Reports[j].Switch })
-	g := provenance.Build(ev.Prov, ev.Reports, ev.Topo)
+	g := a.built(ev).Fork()
 	cov := g.Coverage
 	for sw, n := range ev.Rejected {
 		for i := 0; i < n; i++ {
@@ -109,6 +138,17 @@ func Assess(ev Evidence) (*provenance.Graph, *diagnosis.Report) {
 	cov.SetExpected(ev.Path)
 	cov.SetExpectedHosts(expectedHosts(ev.Topo, ev.Victim, ev.Path))
 	return g, diagnosis.Diagnose(ev.Diag, g, ev.Topo, ev.Victim)
+}
+
+// built returns the untouched graph for ev's sorted reports, building
+// it unless the last build had the same topology, config and reports.
+func (a *Assessor) built(ev Evidence) *provenance.Graph {
+	if a.graph == nil || a.topo != ev.Topo || a.prov != ev.Prov || !slices.Equal(a.reports, ev.Reports) {
+		a.graph = provenance.Build(ev.Prov, ev.Reports, ev.Topo)
+		a.topo, a.prov = ev.Topo, ev.Prov
+		a.reports = append(a.reports[:0], ev.Reports...)
+	}
+	return a.graph
 }
 
 func expectedHosts(t *topo.Topology, victim packet.FiveTuple, path []topo.NodeID) []topo.NodeID {

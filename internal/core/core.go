@@ -314,44 +314,27 @@ func (sys *System) DiagnoseAll() []*Result {
 	})
 	// One validator for the pass, as for one served session: host
 	// snapshots are taken at their trigger instant, so in trigger order
-	// their timestamps advance per host.
+	// their timestamps advance per host. One Assessor too: in trigger
+	// order, sessions that share a report set are adjacent.
 	v := wire.NewValidator(sys.Cl.Topo)
+	var a Assessor
 	var out []*Result
 	for _, id := range ids {
-		out = append(out, sys.diagnose(sys.sessions[id], v))
+		out = append(out, sys.diagnose(sys.sessions[id], v, &a))
 	}
 	return out
 }
 
-// diagnose admits the session's host snapshots through the wire
-// discipline and assesses the session. Switch reports are taken as
-// collected: sessions share report pointers, so clamping one in place
-// would make the tallies depend on session order.
-func (sys *System) diagnose(s *Session, v *wire.Validator) *Result {
-	t := sys.Cl.Topo
-	ev := Evidence{
-		Topo:    t,
-		Prov:    sys.ProvConfig(),
-		Diag:    sys.Cfg.Diagnosis,
-		Victim:  s.Trigger.Victim,
-		Path:    VictimPath(sys.Cl.Routing, t, s.Trigger.Victim),
-		Reports: make([]*telemetry.Report, 0, len(s.Reports)),
-	}
-	switches := make([]topo.NodeID, 0, len(s.Reports))
+// diagnose assesses the session's evidence with a.
+func (sys *System) diagnose(s *Session, v *wire.Validator, a *Assessor) *Result {
+	ev := sys.evidence(s, v)
+	g, d := a.Assess(ev) // sorts ev.Reports by switch
+	switches := make([]topo.NodeID, len(ev.Reports))
 	bytes := 0
-	for id, rep := range s.Reports {
-		ev.Reports = append(ev.Reports, rep)
-		switches = append(switches, id)
+	for i, rep := range ev.Reports {
+		switches[i] = rep.Switch
 		bytes += rep.WireSize()
 	}
-	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-	lim := telemetry.HostLimitsFor(t.LinkBandwidth)
-	for _, hr := range s.HostReports {
-		if _, err := ev.AdmitHostReport(v, hr, lim); err == nil {
-			ev.Hosts = append(ev.Hosts, hr)
-		}
-	}
-	g, d := Assess(ev)
 	polled := len(s.Tagged)
 	if polled == 0 {
 		polled = len(switches)
@@ -364,6 +347,32 @@ func (sys *System) diagnose(s *Session, v *wire.Validator) *Result {
 		ReportBytes:    bytes,
 		PolledSwitches: polled,
 		ReadyAt:        s.LastArrival,
-		Detail:         diagnosis.Refine(d.PrimaryCause(), sys.Cl.Routing, t),
+		Detail:         diagnosis.Refine(d.PrimaryCause(), sys.Cl.Routing, sys.Cl.Topo),
 	}
+}
+
+// evidence gathers the session's reports and admits its host snapshots
+// through the wire discipline. Switch reports are taken as collected:
+// sessions share report pointers, so clamping one in place would make
+// the tallies depend on session order.
+func (sys *System) evidence(s *Session, v *wire.Validator) Evidence {
+	t := sys.Cl.Topo
+	ev := Evidence{
+		Topo:    t,
+		Prov:    sys.ProvConfig(),
+		Diag:    sys.Cfg.Diagnosis,
+		Victim:  s.Trigger.Victim,
+		Path:    VictimPath(sys.Cl.Routing, t, s.Trigger.Victim),
+		Reports: make([]*telemetry.Report, 0, len(s.Reports)),
+	}
+	for _, rep := range s.Reports {
+		ev.Reports = append(ev.Reports, rep)
+	}
+	lim := telemetry.HostLimitsFor(t.LinkBandwidth)
+	for _, hr := range s.HostReports {
+		if _, err := ev.AdmitHostReport(v, hr, lim); err == nil {
+			ev.Hosts = append(ev.Hosts, hr)
+		}
+	}
+	return ev
 }

@@ -7,7 +7,6 @@ package diagnosis
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"hawkeye/internal/packet"
@@ -583,7 +582,7 @@ func (a *analyzer) spreaders() []packet.FiveTuple {
 			out = append(out, f)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	packet.SortByString(out)
 	return out
 }
 

@@ -10,6 +10,7 @@ package packet
 
 import (
 	"fmt"
+	"sort"
 
 	"hawkeye/internal/sim"
 )
@@ -79,6 +80,25 @@ func (ft FiveTuple) Reverse() FiveTuple {
 func (ft FiveTuple) String() string {
 	return fmt.Sprintf("%s:%d>%s:%d/%d",
 		ipString(ft.SrcIP), ft.SrcPort, ipString(ft.DstIP), ft.DstPort, ft.Proto)
+}
+
+// SortByString sorts tuples by their String form, formatting each tuple
+// once rather than once per comparison. Distinct tuples format
+// distinctly, so the order is total; a later stable sort on another key
+// keeps it as the tie-break.
+func SortByString(ts []FiveTuple) {
+	type keyed struct {
+		s string
+		t FiveTuple
+	}
+	ks := make([]keyed, len(ts))
+	for i, t := range ts {
+		ks[i] = keyed{t.String(), t}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].s < ks[j].s })
+	for i := range ks {
+		ts[i] = ks[i].t
+	}
 }
 
 func ipString(ip uint32) string {

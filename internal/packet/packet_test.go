@@ -1,6 +1,8 @@
 package packet
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -62,6 +64,26 @@ func TestFiveTupleIsZero(t *testing.T) {
 	}
 	if tupleA().IsZero() {
 		t.Fatal("non-zero tuple IsZero")
+	}
+}
+
+// TestSortByString: the keyed sort orders tuples exactly as comparing
+// their String forms does, including where the two disagree with
+// numeric order ("10.0.0.10" sorts before "10.0.0.9").
+func TestSortByString(t *testing.T) {
+	prop := func(ts []FiveTuple) bool {
+		want := append([]FiveTuple(nil), ts...)
+		sort.Slice(want, func(i, j int) bool { return want[i].String() < want[j].String() })
+		SortByString(ts)
+		return slices.Equal(ts, want)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+	ts := []FiveTuple{{SrcIP: 0x0A000009}, {SrcIP: 0x0A00000A}}
+	SortByString(ts)
+	if ts[0].SrcIP != 0x0A00000A {
+		t.Fatalf("order %v, want 10.0.0.10 first", ts)
 	}
 }
 

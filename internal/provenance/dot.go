@@ -2,7 +2,6 @@ package provenance
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"hawkeye/internal/packet"
@@ -61,7 +60,7 @@ func (g *Graph) DOT(t *topo.Topology) string {
 	for f := range flowSet {
 		flows = append(flows, f)
 	}
-	sort.Slice(flows, func(i, j int) bool { return flows[i].String() < flows[j].String() })
+	packet.SortByString(flows)
 	for _, f := range flows {
 		fmt.Fprintf(&b, "  %s [shape=ellipse, label=\"%s\"];\n", flowID(f), f)
 	}
@@ -89,7 +88,7 @@ func (g *Graph) DOT(t *topo.Topology) string {
 		for f := range g.PortFlow[p] {
 			pf = append(pf, f)
 		}
-		sort.Slice(pf, func(i, j int) bool { return pf[i].String() < pf[j].String() })
+		packet.SortByString(pf)
 		for _, f := range pf {
 			w := g.PortFlow[p][f]
 			color := "darkgreen" // contributor

@@ -338,6 +338,29 @@ func NewGraph(cfg Config) *Graph {
 	}
 }
 
+// Fork returns a shallow copy of g for one complaint. The fork shares
+// the report-derived structure with g: Ports, Flows, the edge maps,
+// PortEdgeEvidence, the contention populations and the Coverage's
+// Switches and EpochsBySwitch. What a complaint writes is its own: the
+// Hosts map, and a Coverage copy with its own Hosts map and nil
+// per-node rejection and missing sets. Fork the graph Build returned,
+// before any complaint touched it, and every fork starts from the same
+// evidence.
+//
+// The rule that makes this safe: nothing writes the shared maps, or the
+// PortInfo and FlowInfo they hold, after Build returns. Diagnosis,
+// refinement, scoring and rendering only read them.
+func (g *Graph) Fork() *Graph {
+	f := *g
+	cov := *g.Coverage
+	cov.Hosts = make(map[topo.NodeID]bool)
+	cov.RejectedBySwitch, cov.RejectedByHost = nil, nil
+	cov.MissingSwitches, cov.MissingHosts = nil, nil
+	f.Coverage = &cov
+	f.Hosts = make(map[topo.NodeID]*HostInfo)
+	return &f
+}
+
 // AddHostReport ingests one admitted host-agent snapshot as a host leaf
 // node. Out-of-topology or non-host records are skipped and counted
 // Suspect, mirroring Build's own-invariant discipline; when the same
@@ -422,13 +445,8 @@ func (g *Graph) Contributors(p topo.PortRef) []packet.FiveTuple {
 			out = append(out, f)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		wi, wj := g.PortFlow[p][out[i]], g.PortFlow[p][out[j]]
-		if wi != wj {
-			return wi > wj
-		}
-		return out[i].String() < out[j].String()
-	})
+	packet.SortByString(out)
+	sort.SliceStable(out, func(i, j int) bool { return g.PortFlow[p][out[i]] > g.PortFlow[p][out[j]] })
 	return out
 }
 
@@ -475,7 +493,7 @@ func (g *Graph) String() string {
 		for f := range g.PortFlow[p] {
 			flows = append(flows, f)
 		}
-		sort.Slice(flows, func(i, j int) bool { return flows[i].String() < flows[j].String() })
+		packet.SortByString(flows)
 		for _, f := range flows {
 			fmt.Fprintf(&b, "    waits-for flow %v (w=%+.2f)\n", f, g.PortFlow[p][f])
 		}
@@ -484,7 +502,7 @@ func (g *Graph) String() string {
 	for f := range g.FlowPort {
 		flows = append(flows, f)
 	}
-	sort.Slice(flows, func(i, j int) bool { return flows[i].String() < flows[j].String() })
+	packet.SortByString(flows)
 	for _, f := range flows {
 		for _, p := range g.VictimPorts(f) {
 			fmt.Fprintf(&b, "  flow %v paused-at %v (w=%.0f)\n", f, p, g.FlowPort[f][p])
