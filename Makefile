@@ -64,11 +64,14 @@ no-poll:
 		echo "FAIL: timer or sleep on the fleet tier; wait on the event (internal/fleetstore/watermark) or allowlist the delay in the Makefile" >&2; exit 1; fi; \
 	echo "no-poll: ok"
 
-# sync-stress repeats the packages whose tests lean on goroutine
-# synchronisation at GOMAXPROCS 1 and 2 (-cpu), three times each: a test
-# that passes only on a wide machine, or only sometimes, fails here.
+# sync-stress repeats every package's tests at GOMAXPROCS 1 and 2
+# (-cpu), three times each: a test that passes only on a wide machine,
+# or only sometimes, fails here. internal/experiments is left out: its
+# trial sweeps are deterministic by construction and take minutes a run.
+STRESS_PKGS = $(filter-out hawkeye/internal/experiments,$(shell $(GO) list ./...))
+
 sync-stress:
-	$(call run-tests,.,-count=3 -cpu 1$(comma)2 ./internal/fleetstore/... ./internal/fleet ./internal/analyzd)
+	$(call run-tests,.,-count=3 -cpu 1$(comma)2 $(STRESS_PKGS))
 
 # fleet-race is the fast loop while working on the ingest pipeline.
 fleet-race:

@@ -25,11 +25,10 @@ import (
 	"time"
 
 	"hawkeye/internal/chaos"
-	"hawkeye/internal/core"
 	"hawkeye/internal/diagnosis"
 	"hawkeye/internal/experiments"
+	"hawkeye/internal/fleetstore"
 	"hawkeye/internal/metrics"
-	"hawkeye/internal/sim"
 	"hawkeye/internal/workload"
 )
 
@@ -141,10 +140,14 @@ func main() {
 			fmt.Print(r.Diagnosis.String())
 		}
 		fmt.Println()
-		incs := core.GroupIncidents(tr.Results, 2*sim.Millisecond)
+		st := fleetstore.New(fleetstore.DefaultConfig())
+		for _, r := range tr.Results {
+			st.Add(fleetstore.NewRecord("sim", r))
+		}
+		incs := st.Incidents(fleetstore.Query{Node: fleetstore.AnyNode})
 		fmt.Printf("%d complaints -> %d incidents:\n", len(tr.Results), len(incs))
 		for _, inc := range incs {
-			fmt.Print(inc.String())
+			fmt.Printf("  %s, %v .. %v\n", inc.Summary(), inc.First, inc.Last)
 		}
 		fmt.Println()
 	}

@@ -14,6 +14,7 @@ import (
 	"hawkeye/internal/analyzd"
 	"hawkeye/internal/core"
 	"hawkeye/internal/experiments"
+	"hawkeye/internal/wire"
 	"hawkeye/internal/workload"
 )
 
@@ -68,8 +69,9 @@ func main() {
 		fmt.Printf("  culprit: %s\n", c)
 	}
 
-	// Replay the other complaints of the same event and ask the server to
-	// group everything into incidents.
+	// Replay the other complaints of the same event, then ask the
+	// server's fleet store for its clustered incidents. The query drains
+	// the ingest queue first, so it sees every verdict filed above.
 	for _, r := range tr.Results {
 		if r != tr.Score.Result && tr.GT.Victims[r.Trigger.Victim] && r.Trigger.At >= tr.GT.AnomalyAt {
 			path := core.VictimPath(tr.Cl.Routing, tr.Cl.Topo, r.Trigger.Victim)
@@ -78,13 +80,13 @@ func main() {
 			}
 		}
 	}
-	incs, err := client.Incidents()
+	incs, err := client.QueryIncidents(wire.IncidentQuery{Node: -1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nserver-side incident grouping: %d incident(s)\n", len(incs))
 	for _, inc := range incs {
-		fmt.Printf("  %s: %d complaints from %d victims\n", inc.Type, inc.Complaints, inc.Victims)
+		fmt.Printf("  %s\n", inc.Summary)
 	}
 
 	fmt.Printf("\nlocal verdict for comparison: %v\n", tr.Score.Result.Diagnosis.Type)

@@ -44,12 +44,13 @@ func (st State) String() string {
 	return "unknown"
 }
 
-// Shed tier defaults: subscriptions go first at half-full, queries only
-// when the queue is nearly saturated.
+// Shed thresholds, as ingest-queue fill fractions beyond which a tier
+// is refused: subscriptions go first at half-full, queries only when
+// the queue is nearly saturated. Diagnosis ingest is never shed.
 const (
-	defaultShedSubscriptionsAt = 0.5
-	defaultShedQueriesAt       = 0.9
-	defaultRetryAfterMs        = 50
+	shedSubscriptionsAt = 0.5
+	shedQueriesAt       = 0.9
+	defaultRetryAfterMs = 50
 )
 
 // Tier names carried in Throttle replies.
@@ -83,13 +84,7 @@ type admission struct {
 	retryAfterMs int64
 }
 
-func newAdmission(subsAt, queriesAt float64, retryMs int64) *admission {
-	if subsAt <= 0 {
-		subsAt = defaultShedSubscriptionsAt
-	}
-	if queriesAt <= 0 {
-		queriesAt = defaultShedQueriesAt
-	}
+func newAdmission(retryMs int64) *admission {
 	if retryMs <= 0 {
 		retryMs = defaultRetryAfterMs
 	}
@@ -98,9 +93,9 @@ func newAdmission(subsAt, queriesAt float64, retryMs int64) *admission {
 	// overload need reads longer than they need tails. Rollup tails shed
 	// with incident tails (a client can retry either) but are counted
 	// apart, so an operator can see which stream was refused.
-	a.at[tierSubscriptions] = subsAt
-	a.at[tierQueries] = queriesAt
-	a.at[tierRollups] = subsAt
+	a.at[tierSubscriptions] = shedSubscriptionsAt
+	a.at[tierQueries] = shedQueriesAt
+	a.at[tierRollups] = shedSubscriptionsAt
 	return a
 }
 

@@ -410,7 +410,7 @@ func TestCloseUnblocksSessions(t *testing.T) {
 }
 
 // TestIncidentsOverTheWire drives several diagnoses through one session
-// and asks the server to group them.
+// and asks the server's fleet store for the incidents they form.
 func TestIncidentsOverTheWire(t *testing.T) {
 	tr, err := experiments.RunTrial(experiments.DefaultTrialConfig(workload.NameIncast, 1))
 	if err != nil {
@@ -448,7 +448,7 @@ func TestIncidentsOverTheWire(t *testing.T) {
 	if n < 2 {
 		t.Skipf("only %d live-window complaints; nothing to group", n)
 	}
-	incs, err := c.Incidents()
+	incs, err := c.QueryIncidents(wire.IncidentQuery{Node: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

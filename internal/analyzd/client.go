@@ -397,14 +397,6 @@ func (c *Client) DiagnoseAt(victim packet.FiveTuple, atNS int64, path ...topo.No
 	return &d, nil
 }
 
-// Incidents asks the analyzer to group this session's diagnoses into
-// incidents.
-func (c *Client) Incidents() ([]wire.IncidentSummary, error) {
-	var out []wire.IncidentSummary
-	err := c.call("incidents", wire.MsgIncidents, nil, wire.MsgIncidentList, &out)
-	return out, err
-}
-
 // QueryIncidents asks the fleet store for clustered incidents matching
 // q. Remember q.Node: 0 is a real node, -1 is the wildcard.
 func (c *Client) QueryIncidents(q wire.IncidentQuery) ([]wire.FleetIncident, error) {

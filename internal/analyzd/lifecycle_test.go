@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"hawkeye/internal/fleetstore"
 	"hawkeye/internal/wire"
 )
 
@@ -53,10 +52,7 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 // state and the load counters.
 func TestHealthOverTheWire(t *testing.T) {
 	dir := t.TempDir()
-	s, err := ListenOpts("127.0.0.1:0", Options{
-		DataDir: dir,
-		Fleet:   fleetstore.Config{GroupWindow: -1},
-	})
+	s, err := ListenOpts("127.0.0.1:0", Options{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +96,7 @@ func TestHealthOverTheWire(t *testing.T) {
 // fresh server over the same data directory serves the same incidents.
 func TestServerRestartRecoversFleetStore(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{DataDir: dir, Fleet: fleetstore.Config{GroupWindow: -1}}
+	opts := Options{DataDir: dir}
 	s, err := ListenOpts("127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)

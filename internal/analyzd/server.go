@@ -52,19 +52,12 @@ type Options struct {
 	// replays the snapshot + WAL under this directory before the server
 	// starts serving, and every admitted diagnosis is logged.
 	DataDir string
-	// PipeDepth/PipeWorkers size the ingest pipeline (0 = defaults:
-	// 1024 / 4).
-	PipeDepth   int
-	PipeWorkers int
+	// PipeDepth sizes the ingest queue (0 = 1024).
+	PipeDepth int
 	// ManualPipeline builds a worker-less pipeline whose queue only
 	// drains at query time — tests use it to hold the load at an exact
 	// fill fraction.
 	ManualPipeline bool
-	// ShedSubscriptionsAt / ShedQueriesAt are ingest-queue fill
-	// fractions beyond which the tier is refused (0 = defaults 0.5 /
-	// 0.9). Diagnosis ingest is never shed by admission control.
-	ShedSubscriptionsAt float64
-	ShedQueriesAt       float64
 	// RetryAfterMs is the delay hint in throttle replies (0 = 50).
 	RetryAfterMs int64
 	// ReadTimeout / WriteTimeout bound each frame read and write on a
@@ -79,10 +72,6 @@ type Options struct {
 	// Shard names this instance on a cluster's consistent-hash ring
 	// (reported in MsgShardInfoReply). Empty for unclustered servers.
 	Shard string
-	// ReplBuffer bounds each replication tap's live channel (0 = 1024):
-	// a follower that falls this many records behind is dropped and must
-	// re-sync from its own durable watermark.
-	ReplBuffer int
 	// BumpEpoch increments the shard's persisted fencing epoch during
 	// Open, past any fence marker — the promotion path. A promoted
 	// follower opened with this set always supersedes the primary whose
@@ -101,6 +90,15 @@ type Options struct {
 // DefaultMaxStrikes is the per-session decode-error budget when Options
 // leaves MaxStrikes zero.
 const DefaultMaxStrikes = 8
+
+const (
+	// pipeWorkers drain the ingest queue into the fleet store.
+	pipeWorkers = 4
+	// replBuffer bounds each replication tap's live channel: a follower
+	// that falls this many records behind is dropped and must re-sync
+	// from its own durable watermark.
+	replBuffer = 1024
+)
 
 // Server accepts analyzer sessions.
 type Server struct {
@@ -143,7 +141,6 @@ type Server struct {
 	// follower has acked — what semi-sync writes and the handoff drain
 	// block on, woken by each MsgReplAck and by a replica detaching.
 	shard       string
-	replBuffer  int
 	repls       map[*fleetstore.ReplicaSync]struct{}
 	followerSeq watermark.Watermark
 	// followerEpoch is the fencing epoch the follower last acked having
@@ -224,13 +221,12 @@ type Stats struct {
 // sessions, so a client never observes a partially recovered store.
 func ListenOpts(addr string, o Options) (*Server, error) {
 	s := &Server{
-		adm:          newAdmission(o.ShedSubscriptionsAt, o.ShedQueriesAt, o.RetryAfterMs),
+		adm:          newAdmission(o.RetryAfterMs),
 		conns:        make(map[net.Conn]struct{}),
 		readTimeout:  o.ReadTimeout,
 		writeTimeout: o.WriteTimeout,
 		maxStrikes:   o.MaxStrikes,
 		shard:        o.Shard,
-		replBuffer:   o.ReplBuffer,
 		repls:        make(map[*fleetstore.ReplicaSync]struct{}),
 		semiSync:     o.SemiSync,
 	}
@@ -277,7 +273,7 @@ func ListenOpts(addr string, o Options) (*Server, error) {
 	if o.ManualPipeline {
 		s.pipe = fleetstore.NewPipelineManual(st, o.PipeDepth)
 	} else {
-		s.pipe = fleetstore.NewPipeline(st, o.PipeDepth, o.PipeWorkers)
+		s.pipe = fleetstore.NewPipeline(st, o.PipeDepth, pipeWorkers)
 	}
 	s.state.Store(int32(StateServing))
 	s.acceptWG.Add(1)
@@ -372,14 +368,14 @@ func (s *Server) Close() error {
 		// this, the connection map only shrinks.
 		err := s.lis.Close()
 		s.acceptWG.Wait()
-		// 2. Close the hub (and the rollup subscriber streams):
+		// 2. Close both hubs (incident and rollup subscriber streams):
 		// forwarders see their event channel end, push the terminal
 		// shutdown frame and exit. Every live connection gets a write
 		// deadline first, so a subscriber that stopped reading cannot
 		// wedge a forwarder mid-event and stall the drain. The
 		// summarizer itself keeps folding until the ingest flush below.
 		s.fleet.Hub().Close()
-		s.roll.CloseSubscribers()
+		s.roll.Hub().Close()
 		// Detach replication taps: their forwarders see Done close, tell
 		// the follower goodbye and exit — the follower re-syncs from its
 		// durable watermark against whichever shard is promoted. Marking
@@ -480,13 +476,10 @@ type session struct {
 	// assessor keeps the graph of the last report set diagnosed, so
 	// complaints between two report pushes share one build.
 	assessor core.Assessor
-	// history records completed diagnoses for incident grouping (trigger
-	// order, the order requests arrive).
-	history []*core.Result
 	// sub is the live incident subscription, once MsgSubscribe arrived;
 	// rsub the live rollup subscription (MsgSubscribeRollups).
-	sub  *fleetstore.Sub
-	rsub *rollup.Sub
+	sub  *fleetstore.Sub[fleetstore.Event]
+	rsub *fleetstore.Sub[rollup.Event]
 	// repl is the replication stream, once MsgReplicate turned this
 	// session into a follower feed.
 	repl *fleetstore.ReplicaSync
@@ -575,7 +568,7 @@ func (s *Server) handle(conn net.Conn) {
 			s.fleet.Hub().Unsubscribe(sess.sub)
 		}
 		if sess.rsub != nil {
-			s.roll.Unsubscribe(sess.rsub)
+			s.roll.Hub().Unsubscribe(sess.rsub)
 		}
 		if sess.repl != nil {
 			sess.repl.Close()
@@ -646,7 +639,6 @@ var verbs = [...]verb{
 	// complaint and its provenance evidence; the tiers absorb overload
 	// first.
 	wire.MsgDiagnose:       {fabricOnly: "diagnose", payload: "diagnose request", handle: (*Server).serveDiagnose},
-	wire.MsgIncidents:      {handle: (*Server).serveIncidents},
 	wire.MsgQueryIncidents: {tier: tierQueries, payload: "incident query", handle: (*Server).serveIncidentQuery},
 	wire.MsgSubscribe:      {tier: tierSubscriptions, payload: "subscribe request", handle: (*Server).serveSubscribe},
 	// Rollup queries shed with incident queries: both are operator
@@ -759,22 +751,6 @@ func (s *Server) serveDiagnose(sess *session, payload []byte) bool {
 	return sess.writeJSON(wire.MsgDiagnosis, reply) == nil
 }
 
-func (s *Server) serveIncidents(sess *session, _ []byte) bool {
-	incs := core.GroupIncidents(sess.history, incidentWindow)
-	out := make([]wire.IncidentSummary, 0, len(incs))
-	for _, inc := range incs {
-		out = append(out, wire.IncidentSummary{
-			Type:       inc.Type.String(),
-			Complaints: len(inc.Results),
-			Victims:    inc.Victims(),
-			FirstNS:    int64(inc.First),
-			LastNS:     int64(inc.Last),
-			Rendered:   inc.Primary().Diagnosis.String(),
-		})
-	}
-	return sess.writeJSON(wire.MsgIncidentList, out) == nil
-}
-
 func (s *Server) serveIncidentQuery(sess *session, payload []byte) bool {
 	var wq wire.IncidentQuery
 	if err := json.Unmarshal(payload, &wq); err != nil {
@@ -809,10 +785,7 @@ func (s *Server) serveSubscribe(sess *session, payload []byte) bool {
 		sess.sendErr("already subscribed")
 		return false
 	}
-	sess.sub = s.fleet.Hub().Subscribe(f, 0)
-	if err := sess.write(wire.MsgSubscribeOK, nil); err != nil {
-		return false
-	}
+	sess.sub = s.fleet.Subscribe(f, 0)
 	return s.spawn(func() { forward(s, sess, sess.sub.Events(), wire.MsgIncidentEvent, eventToWire) })
 }
 
@@ -842,9 +815,6 @@ func (s *Server) serveRollupSubscribe(sess *session, payload []byte) bool {
 		return false
 	}
 	sess.rsub = s.roll.Subscribe(req.ClosedOnly, 0)
-	if err := sess.write(wire.MsgSubscribeOK, nil); err != nil {
-		return false
-	}
 	return s.spawn(func() { forward(s, sess, sess.rsub.Events(), wire.MsgRollupEvent, rollupEventToWire) })
 }
 
@@ -873,7 +843,7 @@ func (s *Server) serveReplicate(sess *session, payload []byte) bool {
 		})
 		return false
 	}
-	r, err := s.fleet.SyncReplica(req.FromSeq, s.replBuffer)
+	r, err := s.fleet.SyncReplica(req.FromSeq, replBuffer)
 	if err != nil {
 		sess.sendErr(fmt.Sprintf("replicate: %v", err))
 		return false
@@ -938,11 +908,17 @@ func (s *Server) spawn(forwarder func()) bool {
 	return true
 }
 
-// forward streams one subscription — incident events or rollup windows
-// — to the session's connection as mt frames. It exits when the
-// subscription closes (session teardown or server drain) or the
-// connection dies.
+// forward acks one subscription — incident events or rollup windows —
+// and streams it to the session's connection as mt frames. It exits
+// when the subscription closes (session teardown or server drain) or
+// the connection dies. The ack goes out here, not from the handler, so
+// every acked stream is one Close waits for and ends with the terminal
+// frame.
 func forward[E, W any](s *Server, sess *session, events <-chan E, mt wire.MsgType, toWire func(*E) W) {
+	if err := sess.write(wire.MsgSubscribeOK, nil); err != nil {
+		sess.conn.Close()
+		return
+	}
 	var ev E // one variable for the whole stream: &ev escapes into toWire
 	for ev = range events {
 		if err := sess.writeJSON(mt, toWire(&ev)); err != nil {
@@ -1023,10 +999,6 @@ func (s *Server) shardInfo() wire.ShardInfo {
 	return info
 }
 
-// incidentWindow groups diagnoses whose triggers fall within this span
-// of each other (matches the trial default correlation horizon).
-const incidentWindow = 2 * sim.Millisecond
-
 // diagnose assesses the session's evidence for one complaint and files
 // the verdict with the fleet store.
 func (s *Server) diagnose(sess *session, victim packetFiveTuple, atNS int64, path []topo.NodeID) wire.Diagnosis {
@@ -1049,7 +1021,6 @@ func (s *Server) diagnose(sess *session, victim packetFiveTuple, atNS int64, pat
 		Trigger:   host.Trigger{Victim: victim, At: sim.Time(atNS)},
 		Diagnosis: d,
 	}
-	sess.history = append(sess.history, res)
 	// Feed the fleet store; a full queue sheds the record (counted)
 	// rather than stalling this session. The pod label rides along so
 	// rollups can key their hierarchy without re-deriving topology.

@@ -13,7 +13,7 @@ import (
 // clientVerbs is the protocol's client→server side after the handshake,
 // written out apart from the registry it checks.
 var clientVerbs = []wire.MsgType{
-	wire.MsgReport, wire.MsgDiagnose, wire.MsgIncidents, wire.MsgQueryIncidents,
+	wire.MsgReport, wire.MsgDiagnose, wire.MsgQueryIncidents,
 	wire.MsgSubscribe, wire.MsgHealth, wire.MsgQueryRollups, wire.MsgSubscribeRollups,
 	wire.MsgReplicate, wire.MsgReplAck, wire.MsgShardInfo, wire.MsgWriteRecord,
 	wire.MsgEpoch, wire.MsgQueryRecords, wire.MsgCutover, wire.MsgHostReport,
@@ -116,6 +116,9 @@ func TestVerbTable(t *testing.T) {
 		{name: "report on operator", mt: wire.MsgReport, reply: wire.MsgError, text: "operator session cannot push reports"},
 		{name: "host report on operator", mt: wire.MsgHostReport, reply: wire.MsgError, text: "operator session cannot push host reports"},
 		{name: "diagnose on operator", mt: wire.MsgDiagnose, reply: wire.MsgError, text: "operator session cannot diagnose"},
+		// Type 7 was the session-scoped incident verb; retired, it is
+		// refused like any type the protocol does not define.
+		{name: "retired incidents verb", fabric: true, mt: 7, reply: wire.MsgError, text: "unexpected message type 7"},
 
 		{name: "health on operator", mt: wire.MsgHealth, reply: wire.MsgHealthReply},
 		{name: "health on fabric", fabric: true, mt: wire.MsgHealth, reply: wire.MsgHealthReply},

@@ -66,9 +66,6 @@ func New(t *topo.Topology, r *topo.Routing, cfg Config) *Cluster {
 	return c
 }
 
-// Rand returns a derived generator for scenario randomness.
-func (c *Cluster) Rand() *sim.Rand { return c.rng.Fork() }
-
 // StartFlow starts a flow of totalBytes from src to dst at the given
 // time and returns it.
 func (c *Cluster) StartFlow(src, dst topo.NodeID, totalBytes int64, at sim.Time) *host.Flow {

@@ -1,17 +1,22 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"hawkeye/internal/core"
 	"hawkeye/internal/diagnosis"
+	"hawkeye/internal/fleetstore"
 	"hawkeye/internal/host"
 	"hawkeye/internal/packet"
 	"hawkeye/internal/sim"
 	"hawkeye/internal/topo"
 )
 
-func mkResult(at sim.Time, victim uint16, typ diagnosis.AnomalyType, node topo.NodeID, loop []topo.PortRef) *Result {
-	return &Result{
+// Complaint storms are grouped into incidents by the fleet store's
+// clusterer, the one grouper; these tests feed it hand-built results.
+
+func mkResult(at sim.Time, victim uint16, typ diagnosis.AnomalyType, node topo.NodeID, loop []topo.PortRef) *core.Result {
+	return &core.Result{
 		Trigger: host.Trigger{
 			Victim: packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: victim, DstPort: 4791, Proto: 17},
 			At:     at,
@@ -24,47 +29,52 @@ func mkResult(at sim.Time, victim uint16, typ diagnosis.AnomalyType, node topo.N
 	}
 }
 
+// group files the results, in order, into a store with the given join
+// window and returns its incidents, ordered by first trigger time.
+func group(window sim.Time, rs []*core.Result) []fleetstore.Incident {
+	st := fleetstore.New(fleetstore.Config{Window: window})
+	for _, r := range rs {
+		st.Add(fleetstore.NewRecord("fab", r))
+	}
+	return st.Incidents(fleetstore.Query{Node: fleetstore.AnyNode})
+}
+
 func TestGroupIncidentsMergesSameEvent(t *testing.T) {
-	rs := []*Result{
+	rs := []*core.Result{
 		mkResult(100, 1, diagnosis.TypePFCContention, 5, nil),
 		mkResult(200, 2, diagnosis.TypePFCContention, 5, nil), // same node, in window
 		mkResult(300, 1, diagnosis.TypePFCContention, 5, nil), // repeat victim
 	}
-	incs := GroupIncidents(rs, sim.Millisecond)
+	incs := group(sim.Millisecond, rs)
 	if len(incs) != 1 {
 		t.Fatalf("incidents = %d, want 1", len(incs))
 	}
 	inc := incs[0]
-	if len(inc.Results) != 3 || inc.Victims() != 2 {
-		t.Fatalf("members=%d victims=%d, want 3/2", len(inc.Results), inc.Victims())
+	if inc.Complaints != 3 || len(inc.Victims) != 2 {
+		t.Fatalf("members=%d victims=%d, want 3/2", inc.Complaints, len(inc.Victims))
 	}
 	if inc.First != 100 || inc.Last != 300 {
 		t.Fatalf("span %v..%v", inc.First, inc.Last)
 	}
-	if inc.Primary().Trigger.At != 100 {
-		t.Fatal("primary is not the earliest complaint")
-	}
 }
 
 func TestGroupIncidentsSplitsByTypeAndAnchor(t *testing.T) {
-	rs := []*Result{
+	rs := []*core.Result{
 		mkResult(100, 1, diagnosis.TypePFCContention, 5, nil),
 		mkResult(150, 2, diagnosis.TypePFCStorm, 5, nil),      // same node, different type
 		mkResult(200, 3, diagnosis.TypePFCContention, 9, nil), // same type, different node
 	}
-	incs := GroupIncidents(rs, sim.Millisecond)
-	if len(incs) != 3 {
+	if incs := group(sim.Millisecond, rs); len(incs) != 3 {
 		t.Fatalf("incidents = %d, want 3 (type and anchor split)", len(incs))
 	}
 }
 
 func TestGroupIncidentsWindowExpires(t *testing.T) {
-	rs := []*Result{
+	rs := []*core.Result{
 		mkResult(100, 1, diagnosis.TypePFCContention, 5, nil),
 		mkResult(100+2*sim.Millisecond, 2, diagnosis.TypePFCContention, 5, nil),
 	}
-	incs := GroupIncidents(rs, sim.Millisecond)
-	if len(incs) != 2 {
+	if incs := group(sim.Millisecond, rs); len(incs) != 2 {
 		t.Fatalf("incidents = %d, want 2 (window expired)", len(incs))
 	}
 }
@@ -74,59 +84,49 @@ func TestGroupIncidentsLoopOverlapMerges(t *testing.T) {
 	// to one incident when their loops share a port.
 	loopA := []topo.PortRef{{Node: 4, Port: 2}, {Node: 0, Port: 1}}
 	loopB := []topo.PortRef{{Node: 0, Port: 1}, {Node: 6, Port: 2}}
-	rs := []*Result{
+	rs := []*core.Result{
 		mkResult(100, 1, diagnosis.TypeInLoopDeadlock, 4, loopA),
 		mkResult(200, 2, diagnosis.TypeInLoopDeadlock, 6, loopB),
 	}
-	incs := GroupIncidents(rs, sim.Millisecond)
-	if len(incs) != 1 {
+	if incs := group(sim.Millisecond, rs); len(incs) != 1 {
 		t.Fatalf("incidents = %d, want 1 (loops overlap)", len(incs))
 	}
 	// Disjoint loops split.
 	loopC := []topo.PortRef{{Node: 8, Port: 0}, {Node: 9, Port: 0}}
 	rs[1] = mkResult(200, 2, diagnosis.TypeInLoopDeadlock, 6, loopC)
-	if incs := GroupIncidents(rs, sim.Millisecond); len(incs) != 2 {
+	if incs := group(sim.Millisecond, rs); len(incs) != 2 {
 		t.Fatalf("incidents = %d, want 2 (disjoint loops)", len(incs))
 	}
 }
 
 // TestGroupIncidentsOutOfOrderTriggers: a live analyzer can complete an
 // earlier-triggered diagnosis after a later one (sessions race). The
-// late-delivered earlier member must extend First, leave Last alone,
-// and take over Primary() — without widening the join window so far
-// that unrelated events merge.
+// late-delivered earlier member must extend First and leave Last alone,
+// without widening the join window so far that unrelated events merge.
 func TestGroupIncidentsOutOfOrderTriggers(t *testing.T) {
-	rs := []*Result{
-		mkResult(1000, 1, diagnosis.TypePFCContention, 5, nil),
-		mkResult(1400, 2, diagnosis.TypePFCContention, 5, nil),
-		mkResult(600, 3, diagnosis.TypePFCContention, 5, nil), // earlier trigger, delivered last
+	// Triggers sit past t0 so the stale complaint below stays at a
+	// non-negative time, which store queries require.
+	const t0 = 3 * sim.Millisecond
+	rs := []*core.Result{
+		mkResult(t0+1000, 1, diagnosis.TypePFCContention, 5, nil),
+		mkResult(t0+1400, 2, diagnosis.TypePFCContention, 5, nil),
+		mkResult(t0+600, 3, diagnosis.TypePFCContention, 5, nil), // earlier trigger, delivered last
 	}
-	incs := GroupIncidents(rs, sim.Millisecond)
+	incs := group(sim.Millisecond, rs)
 	if len(incs) != 1 {
 		t.Fatalf("incidents = %d, want 1", len(incs))
 	}
-	inc := incs[0]
-	if inc.First != 600 || inc.Last != 1400 {
-		t.Fatalf("span %v..%v, want 600..1400", inc.First, inc.Last)
-	}
-	if got := inc.Primary().Trigger.At; got != 600 {
-		t.Fatalf("primary at %v, want the earliest member (600)", got)
+	if inc := incs[0]; inc.First != t0+600 || inc.Last != t0+1400 {
+		t.Fatalf("span %v..%v, want t0+600..t0+1400", inc.First, inc.Last)
 	}
 	// An earlier trigger beyond the widened span opens its own incident
 	// instead of corrupting the existing one.
-	rs = append(rs, mkResult(600-2*sim.Millisecond, 4, diagnosis.TypePFCContention, 5, nil))
-	incs = GroupIncidents(rs, sim.Millisecond)
+	rs = append(rs, mkResult(t0+600-2*sim.Millisecond, 4, diagnosis.TypePFCContention, 5, nil))
+	incs = group(sim.Millisecond, rs)
 	if len(incs) != 2 {
 		t.Fatalf("incidents = %d, want 2 (stale complaint split off)", len(incs))
 	}
-	if incs[0].First != 600 || incs[0].Last != 1400 {
-		t.Fatalf("original incident corrupted: %v..%v", incs[0].First, incs[0].Last)
-	}
-}
-
-func TestGroupIncidentsSkipsNilDiagnosis(t *testing.T) {
-	rs := []*Result{{Trigger: host.Trigger{At: 1}}}
-	if incs := GroupIncidents(rs, sim.Millisecond); len(incs) != 0 {
-		t.Fatalf("incidents = %d for nil diagnosis", len(incs))
+	if inc := incs[1]; inc.First != t0+600 || inc.Last != t0+1400 || inc.Complaints != 3 {
+		t.Fatalf("original incident corrupted: %v..%v, %d complaints", inc.First, inc.Last, inc.Complaints)
 	}
 }

@@ -173,12 +173,6 @@ func (sw *Switch) NumPorts() int { return len(sw.egress) }
 // EgressAt exposes a port's egress machinery (polling logic and tests).
 func (sw *Switch) EgressAt(port int) *fabric.Egress { return sw.egress[port] }
 
-// Network returns the fabric the switch is attached to.
-func (sw *Switch) Network() *fabric.Network { return sw.net }
-
-// Routing returns the routing tables the switch forwards with.
-func (sw *Switch) Routing() *topo.Routing { return sw.routing }
-
 // IsHostFacing reports whether an egress port connects to a host.
 func (sw *Switch) IsHostFacing(port int) bool { return sw.net.Topo.IsHostFacing(sw.ID, port) }
 

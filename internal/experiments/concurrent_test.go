@@ -6,6 +6,7 @@ import (
 	"hawkeye/internal/cluster"
 	"hawkeye/internal/core"
 	"hawkeye/internal/diagnosis"
+	"hawkeye/internal/fleetstore"
 	"hawkeye/internal/host"
 	"hawkeye/internal/metrics"
 	"hawkeye/internal/packet"
@@ -109,7 +110,17 @@ func TestIncidentAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	incs := core.GroupIncidents(tr.Results, 2*sim.Millisecond)
+	// File every complaint with a fleet store, learning each one's
+	// incident from the Opened or Grew event its Add publishes.
+	st := fleetstore.New(fleetstore.DefaultConfig())
+	sub := st.Subscribe(fleetstore.AnyFilter(), 1)
+	defer st.Hub().Unsubscribe(sub)
+	incOf := make([]uint64, len(tr.Results))
+	for i, r := range tr.Results {
+		st.Add(fleetstore.NewRecord("trial", r))
+		incOf[i] = (<-sub.Events()).Incident.ID
+	}
+	incs := st.Incidents(fleetstore.Query{Node: fleetstore.AnyNode})
 	if len(incs) == 0 {
 		t.Fatal("no incidents")
 	}
@@ -118,23 +129,30 @@ func TestIncidentAggregation(t *testing.T) {
 	// incident. (Complaints milliseconds later are different events:
 	// background noise after the burst drained.)
 	live := tr.GT.AnomalyAt + 2*sim.Millisecond
-	var home *core.Incident
-	for _, inc := range incs {
-		for _, r := range inc.Results {
-			if tr.GT.Victims[r.Trigger.Victim] && r.Trigger.At >= tr.GT.AnomalyAt && r.Trigger.At < live {
-				if home == nil {
-					home = inc
-				} else if home != inc {
-					t.Fatalf("live-window victim complaints split across incidents (%d total)", len(incs))
-				}
+	var homeID uint64
+	for i, r := range tr.Results {
+		if tr.GT.Victims[r.Trigger.Victim] && r.Trigger.At >= tr.GT.AnomalyAt && r.Trigger.At < live {
+			if homeID == 0 {
+				homeID = incOf[i]
+			} else if homeID != incOf[i] {
+				t.Fatalf("live-window victim complaints split across incidents (%d total)", len(incs))
 			}
 		}
 	}
-	if home == nil {
+	if homeID == 0 {
 		t.Fatal("no incident contains a ground-truth victim complaint")
 	}
-	if len(home.Results) < 2 {
-		t.Fatalf("incident has %d complaints; the incast should trigger several flows", len(home.Results))
+	var home *fleetstore.Incident
+	for i := range incs {
+		if incs[i].ID == homeID {
+			home = &incs[i]
+		}
+	}
+	if home == nil {
+		t.Fatalf("incident %d is not in the store", homeID)
+	}
+	if home.Complaints < 2 {
+		t.Fatalf("incident has %d complaints; the incast should trigger several flows", home.Complaints)
 	}
 	if home.Type != tr.Score.Result.Diagnosis.Type {
 		t.Fatalf("incident type %v != scored %v", home.Type, tr.Score.Result.Diagnosis.Type)

@@ -5,7 +5,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 
 	"hawkeye/internal/baselines"
@@ -71,8 +70,6 @@ type TrialConfig struct {
 	EnableWatchdog bool
 	// pollDedup overrides the polling dedup window (ablations).
 	pollDedup *sim.Time
-	// Horizon extends the run beyond the anomaly (0 = scenario default).
-	Horizon sim.Time
 }
 
 // DefaultTrialConfig returns the paper's default operating point for a
@@ -274,11 +271,8 @@ func RunTrial(cfg TrialConfig) (*Trial, error) {
 		tr.allSnaps = append(tr.allSnaps, fabricSnap{at: cl.Eng.Now(), reports: all})
 	}
 
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = gt.AnomalyAt + 15*sim.Millisecond
-	}
-	cl.Run(horizon)
+	// The run ends 15 ms after the anomaly starts.
+	cl.Run(gt.AnomalyAt + 15*sim.Millisecond)
 
 	tr.Results = sys.DiagnoseAll()
 	tr.Score = metrics.ScoreResults(metrics.DefaultScoreConfig(), tr.Results, gt, cl.Topo)
@@ -382,12 +376,6 @@ func (tr *Trial) rescore(reports []*telemetry.Report) metrics.TrialScore {
 // BaselineOverhead applies the cost models to the trial.
 func (tr *Trial) BaselineOverhead(kind baselines.Kind) baselines.Overhead {
 	return kind.Assess(tr.View, tr.Stats)
-}
-
-// Summary renders a one-line trial outcome.
-func (tr *Trial) Summary() string {
-	return fmt.Sprintf("%s seed=%d: detected=%v correct=%v (%s)",
-		tr.Cfg.Scenario, tr.Cfg.Seed, tr.Score.Detected, tr.Score.Correct, tr.Score.Reason)
 }
 
 // ScoreWithBinaryMeter re-runs the diagnosis over the scored session's

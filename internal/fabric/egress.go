@@ -49,12 +49,6 @@ func NewEgress(net *Network, node topo.NodeID, port int) *Egress {
 	return &Egress{net: net, node: node, port: port}
 }
 
-// Node returns the owning node ID.
-func (e *Egress) Node() topo.NodeID { return e.node }
-
-// Port returns the port index on the owning node.
-func (e *Egress) Port() int { return e.port }
-
 // QueueBytes returns the backlog of one class in bytes.
 func (e *Egress) QueueBytes(class uint8) int { return e.bytes[class] }
 

@@ -121,9 +121,6 @@ func (n *Network) TransmitTimeOn(node topo.NodeID, port int, size int) sim.Time 
 // Register attaches a node model to a topology node.
 func (n *Network) Register(id topo.NodeID, r Receiver) { n.nodes[id] = r }
 
-// NodeModel returns the model registered for id, or nil.
-func (n *Network) NodeModel(id topo.NodeID) Receiver { return n.nodes[id] }
-
 // Deliver puts pkt on the wire from (from, port) with the given extra
 // sender-side delay already elapsed (0 for out-of-band control frames).
 // The peer's Receive fires after serialization + propagation.

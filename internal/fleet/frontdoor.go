@@ -72,13 +72,6 @@ func NewFrontdoor(specs []ShardSpec, vnodes int, seed uint64) (*Frontdoor, error
 	return &Frontdoor{pool: pool, ring: ring}, nil
 }
 
-// Ring exposes the routing ring.
-func (fd *Frontdoor) Ring() *Ring {
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	return fd.ring
-}
-
 // Shards returns the shard set in merge order: shard name, so the
 // fan-out collection order is a property of the cluster, not of the
 // caller's spec ordering.

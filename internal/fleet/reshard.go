@@ -144,11 +144,6 @@ func NewExecutor(specs []ShardSpec, retry analyzd.RetryConfig) (*Executor, error
 	return &Executor{pool: pool}, nil
 }
 
-// Update repoints one shard at a new primary (mid-reshard failover).
-// A shard the executor was not built over is ignored: no move can
-// name it.
-func (ex *Executor) Update(spec ShardSpec) { _ = ex.pool.update(spec) }
-
 // Close drops every cached shard session.
 func (ex *Executor) Close() { ex.pool.close() }
 

@@ -43,8 +43,6 @@ const (
 // routing-determinism contract the cluster kill-loop asserts.
 type Ring struct {
 	seed   uint64
-	vnodes int
-	shards []string
 	points []ringPoint
 }
 
@@ -78,8 +76,6 @@ func NewRing(shards []string, vnodes int, seed uint64) (*Ring, error) {
 	}
 	r := &Ring{
 		seed:   seed,
-		vnodes: vnodes,
-		shards: names,
 		points: make([]ringPoint, 0, len(names)*vnodes),
 	}
 	for _, name := range names {
@@ -121,16 +117,6 @@ func (r *Ring) Owner(fabric string) string {
 	}
 	return r.points[i].shard
 }
-
-// Shards returns the membership, sorted.
-func (r *Ring) Shards() []string {
-	out := make([]string, len(r.shards))
-	copy(out, r.shards)
-	return out
-}
-
-// Seed returns the ring's layout seed.
-func (r *Ring) Seed() uint64 { return r.seed }
 
 // Move is one fabric's reassignment in a reshard plan.
 type Move struct {

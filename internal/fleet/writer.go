@@ -37,9 +37,9 @@ import (
 type WriterConfig struct {
 	// Specs is the shard set (names must match the ring's).
 	Specs []ShardSpec
-	// Vnodes/Seed shape the routing ring; must match the cluster's.
-	Vnodes int
-	Seed   uint64
+	// Seed shapes the routing ring (of DefaultVnodes per shard); it
+	// must match the cluster's.
+	Seed uint64
 	// Retry shapes dial/redial backoff (zero = analyzd defaults).
 	Retry analyzd.RetryConfig
 	// MaxAttempts bounds one Write's routing attempts, re-resolution
@@ -91,17 +91,10 @@ func NewWriter(cfg WriterConfig) (*Writer, error) {
 	if w.pool, err = newShardPool("writer", cfg.Specs, cfg.Retry, &w.Redials); err != nil {
 		return nil, err
 	}
-	if w.ring, err = NewRing(w.pool.names(), cfg.Vnodes, cfg.Seed); err != nil {
+	if w.ring, err = NewRing(w.pool.names(), DefaultVnodes, cfg.Seed); err != nil {
 		return nil, err
 	}
 	return w, nil
-}
-
-// Ring exposes the routing ring.
-func (w *Writer) Ring() *Ring {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.ring
 }
 
 // Update repoints one shard at a new primary address (failover) and

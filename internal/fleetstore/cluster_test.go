@@ -173,9 +173,9 @@ func TestIncidentSummaryAndPartition(t *testing.T) {
 func TestHubSubscribeFilterAndDrops(t *testing.T) {
 	st := New(Config{Window: sim.Millisecond})
 	hub := st.Hub()
-	storms := hub.Subscribe(Filter{Types: []diagnosis.AnomalyType{diagnosis.TypePFCStorm}, Node: AnyNode}, 16)
+	storms := st.Subscribe(Filter{Types: []diagnosis.AnomalyType{diagnosis.TypePFCStorm}, Node: AnyNode}, 16)
 	defer hub.Unsubscribe(storms)
-	tiny := hub.Subscribe(AnyFilter(), 1)
+	tiny := st.Subscribe(AnyFilter(), 1)
 	defer hub.Unsubscribe(tiny)
 
 	st.Add(rec("pod-a", 100, "v1", diagnosis.TypePFCStorm, 5))
@@ -208,7 +208,7 @@ func TestHubSubscribeFilterAndDrops(t *testing.T) {
 
 func TestUnsubscribeClosesStream(t *testing.T) {
 	st := New(Config{})
-	sub := st.Hub().Subscribe(AnyFilter(), 4)
+	sub := st.Subscribe(AnyFilter(), 4)
 	st.Hub().Unsubscribe(sub)
 	if _, ok := <-sub.Events(); ok {
 		t.Fatal("stream still open after unsubscribe")

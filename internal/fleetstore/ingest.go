@@ -157,9 +157,6 @@ func (p *Pipeline) Pending() int {
 	return p.pending
 }
 
-// Cap is the queue depth.
-func (p *Pipeline) Cap() int { return cap(p.ch) }
-
 // Load is the queue fill fraction in [0,1] — the admission-control
 // signal analyzd's load-shedding tiers key off.
 func (p *Pipeline) Load() float64 {

@@ -8,10 +8,9 @@ import (
 	"hawkeye/internal/sim"
 )
 
-// durableCfg is the deterministic durability config tests use:
-// synchronous WAL appends, no background flusher.
+// durableCfg is the durability config tests use: store defaults.
 func durableCfg() Config {
-	return Config{GroupWindow: -1}
+	return Config{}
 }
 
 func TestOpenEmptyDirStartsEmpty(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hawkeye/internal/core"
 	"hawkeye/internal/diagnosis"
@@ -99,7 +98,7 @@ type Config struct {
 	ShardCapacity int
 	// Window is the incident join window: a complaint extends an open
 	// incident when its trigger falls within Window of the incident's
-	// span (same semantics as core.GroupIncidents).
+	// span.
 	Window sim.Time
 	// ResolvedKeep bounds how many resolved incidents are retained for
 	// queries after they close.
@@ -114,10 +113,6 @@ type Config struct {
 	SnapshotEvery int
 	// SegmentBytes rolls WAL segments at this size (default 1 MiB).
 	SegmentBytes int64
-	// GroupWindow is ignored: the WAL's group commit is leader-based and
-	// gathers only while an fsync is in flight, so there is no window to
-	// set (see wal.Options.GroupWindow). Kept so existing callers compile.
-	GroupWindow time.Duration
 	// NoSync skips WAL fsyncs (benchmarks only).
 	NoSync bool
 	// ReadOnly opens for inspection: replay without repairing the log,
@@ -249,7 +244,7 @@ type Store struct {
 	lastAt atomic.Int64
 
 	cl  *clusterer
-	hub *Hub
+	hub *Hub[Event]
 
 	// Durability state; log == nil for in-memory and read-only stores.
 	dir string
@@ -296,12 +291,12 @@ func New(cfg Config) *Store {
 		cfg:        cfg,
 		shards:     make([]shard, n),
 		mask:       uint64(n - 1),
-		hub:        newHub(),
+		hub:        NewHub[Event](64),
 		originHigh: make(map[string]uint64),
 		movedOut:   make(map[string]struct{}),
 		frozen:     make(map[string]struct{}),
 	}
-	st.cl = newClusterer(cfg.Window, cfg.ResolvedKeep, st.hub.publish)
+	st.cl = newClusterer(cfg.Window, cfg.ResolvedKeep, st.hub.Publish)
 	// In-memory stores live and die in one process: epoch 1, never
 	// persisted. Durable stores override this from disk in Open.
 	st.epoch.Store(1)
@@ -375,8 +370,8 @@ func Open(dir string, cfg Config) (*Store, error) {
 	return st, nil
 }
 
-// Hub exposes the store's subscription hub.
-func (st *Store) Hub() *Hub { return st.hub }
+// Hub exposes the store's incident-event hub.
+func (st *Store) Hub() *Hub[Event] { return st.hub }
 
 // shardBucket spaces single-fabric storms across stripes: the shard is
 // picked from the fabric hash XOR a coarse (~1 ms) time bucket, so one
@@ -555,7 +550,7 @@ func (st *Store) CountersSnapshot() Counters {
 		Evicted:       st.evicted.Load(),
 		Incidents:     st.cl.opened.Load(),
 		OpenIncidents: st.cl.openCount(),
-		EventsDropped: st.hub.dropped.Load(),
+		EventsDropped: st.hub.Dropped(),
 		WALErrors:     st.walErrors.Load(),
 		Snapshots:     st.snapshots.Load(),
 	}

@@ -112,9 +112,6 @@ func newAgent(h *Host, cfg AgentConfig) *Agent {
 	return a
 }
 
-// Config returns the agent configuration.
-func (a *Agent) Config() AgentConfig { return a.cfg }
-
 func (a *Agent) watch(f *Flow) {
 	if a.cfg.Enable {
 		a.watching[f.ID] = f

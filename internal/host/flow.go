@@ -29,7 +29,6 @@ type Flow struct {
 	lastSend  sim.Time
 
 	rttMin    sim.Time
-	rttLast   sim.Time
 	rttSample int
 	// stallStart records when the flow first found the NIC blocked; the
 	// next packet actually transmitted carries this as its SentAt, so its
@@ -97,9 +96,6 @@ func (h *Host) StartFlowRate(id uint64, dstIP uint32, totalBytes int64, start si
 // Completed reports whether every byte has been acknowledged.
 func (f *Flow) Completed() bool { return f.finishAt > 0 }
 
-// Done reports whether every byte has been handed to the NIC.
-func (f *Flow) Done() bool { return f.remaining == 0 }
-
 // Outstanding reports whether unacknowledged packets exist.
 func (f *Flow) Outstanding() bool { return f.acked < f.totalPkts }
 
@@ -118,17 +114,10 @@ func (f *Flow) Rate() float64 { return f.cc.Rate() }
 // TotalBytes returns the flow size.
 func (f *Flow) TotalBytes() int64 { return f.totalBytes }
 
-// StartAt returns the flow start time.
-func (f *Flow) StartAt() sim.Time { return f.startAt }
-
 // MinRTT returns the smallest RTT sample observed (0 if none).
 func (f *Flow) MinRTT() sim.Time { return f.rttMin }
 
-// LastRTT returns the most recent RTT sample (0 if none).
-func (f *Flow) LastRTT() sim.Time { return f.rttLast }
-
 func (f *Flow) recordRTT(rtt sim.Time) {
-	f.rttLast = rtt
 	f.rttSample++
 	if f.rttMin == 0 || rtt < f.rttMin {
 		f.rttMin = rtt

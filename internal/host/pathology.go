@@ -149,15 +149,6 @@ func (h *Host) InstallPathology(cfg PathologyConfig) {
 	}
 }
 
-// Pathology returns the installed pathology kind (PathologyNone when
-// healthy).
-func (h *Host) Pathology() PathologyKind {
-	if h.pathology == nil {
-		return PathologyNone
-	}
-	return h.pathology.cfg.Kind
-}
-
 // sendPFC emits a PFC frame on the NIC port, counting emitted pauses for
 // the host-agent channel.
 func (h *Host) sendPFC(frame *packet.PFCFrame) {

@@ -91,8 +91,6 @@ type Watchdog struct {
 	OnStorm func(port int, now sim.Time)
 	// OnRestore, if set, observes each restoration.
 	OnRestore func(port int, now sim.Time)
-
-	stopped bool
 }
 
 // Attach installs a watchdog on the switch and starts its polling loop on
@@ -114,17 +112,6 @@ func Attach(eng *sim.Engine, sw *device.Switch, cfg Config) (*Watchdog, error) {
 	return w, nil
 }
 
-// Stop halts the polling loop after the current tick and lifts any active
-// discards so the fabric returns to normal forwarding.
-func (w *Watchdog) Stop() {
-	w.stopped = true
-	for p := range w.stormed {
-		if w.stormed[p] {
-			w.restore(p)
-		}
-	}
-}
-
 // Stats returns the activity counters.
 func (w *Watchdog) Stats() Stats { return w.stats }
 
@@ -132,9 +119,6 @@ func (w *Watchdog) Stats() Stats { return w.stats }
 func (w *Watchdog) Stormed(port int) bool { return w.stormed[port] }
 
 func (w *Watchdog) poll() {
-	if w.stopped {
-		return
-	}
 	now := w.eng.Now()
 	for p := 0; p < w.sw.NumPorts(); p++ {
 		eg := w.sw.EgressAt(p)

@@ -167,15 +167,6 @@ type HostInfo struct {
 	Report telemetry.HostReport
 }
 
-// BufferFrac is the RX-buffer occupancy as a fraction of capacity (0
-// when the host runs no bounded buffer).
-func (h *HostInfo) BufferFrac() float64 {
-	if h.Report.RxBufferCap == 0 {
-		return 0
-	}
-	return float64(h.Report.RxBufferBytes) / float64(h.Report.RxBufferCap)
-}
-
 // Coverage quantifies the telemetry the graph was built from versus what
 // the analyzer wanted, so diagnosis can say how much evidence is missing
 // instead of silently concluding from partial inputs.
@@ -261,15 +252,6 @@ func (c *Coverage) SetExpectedHosts(expected []topo.NodeID) {
 	sort.Slice(c.MissingHosts, func(i, j int) bool {
 		return c.MissingHosts[i] < c.MissingHosts[j]
 	})
-}
-
-// HostFrac is the fraction of expected hosts that delivered an admitted
-// snapshot (1 when the expectation is unknown).
-func (c *Coverage) HostFrac() float64 {
-	if c.HostsExpected == 0 {
-		return 1
-	}
-	return float64(c.HostsExpected-len(c.MissingHosts)) / float64(c.HostsExpected)
 }
 
 // SetExpected declares the switch set the analyzer wanted telemetry from

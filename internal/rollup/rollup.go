@@ -291,23 +291,6 @@ func (p *pane) evictions() uint64 {
 	return ev + p.stall.Collapses() + p.score.Collapses()
 }
 
-// Sub is one live rollup subscription; same non-blocking discipline as
-// the fleetstore hub — a slow subscriber loses events, never stalls
-// ingest.
-type Sub struct {
-	closedOnly bool
-	ch         chan Event
-	dropped    atomic.Uint64
-	closed     bool // guarded by the summarizer mutex
-}
-
-// Events is the subscription stream; closed by Unsubscribe or
-// summarizer Close.
-func (s *Sub) Events() <-chan Event { return s.ch }
-
-// Dropped counts events this subscriber lost to a full buffer.
-func (s *Sub) Dropped() uint64 { return s.dropped.Load() }
-
 // Stats is a snapshot of summarizer activity.
 type Stats struct {
 	// WindowsOpen / WindowsClosed count panes currently live / retired.
@@ -334,6 +317,7 @@ type Stats struct {
 // store already serializes observer calls through admission.
 type Summarizer struct {
 	cfg Config
+	hub *fleetstore.Hub[Event]
 
 	mu        sync.Mutex
 	open      map[int64]*pane
@@ -341,7 +325,6 @@ type Summarizer struct {
 	watermark sim.Time
 	// closedThrough is the pane boundary below which arrivals are late.
 	closedThrough sim.Time
-	subs          map[*Sub]struct{}
 	shut          bool
 	scratch       []byte
 
@@ -349,16 +332,16 @@ type Summarizer struct {
 	late          atomic.Uint64
 	windowsClosed atomic.Uint64
 	// retiredEvict carries eviction counts of panes trimmed off the ring.
-	retiredEvict  uint64
-	eventsDropped atomic.Uint64
+	retiredEvict uint64
 }
 
 // New builds a summarizer.
 func New(cfg Config) *Summarizer {
+	cfg = cfg.withDefaults()
 	return &Summarizer{
-		cfg:  cfg.withDefaults(),
+		cfg:  cfg,
 		open: make(map[int64]*pane),
-		subs: make(map[*Sub]struct{}),
+		hub:  fleetstore.NewHub[Event](cfg.SubBuf),
 	}
 }
 
@@ -386,14 +369,14 @@ func (s *Summarizer) ObserveRecord(rec *fleetstore.Record) {
 		}
 		p = newPane(sim.Time(idx)*s.cfg.Pane, &s.cfg)
 		s.open[idx] = p
-		s.publishLocked(Event{Kind: PaneOpened, Summary: s.renderLocked(p, "", "")})
+		s.hub.Publish(Event{Kind: PaneOpened, Summary: s.renderLocked(p, "", "")})
 	}
 	s.foldLocked(p, rec)
 	s.records.Add(1)
 	p.folds++
 	if p.folds >= s.cfg.UpdateEvery {
 		p.folds = 0
-		s.publishLocked(Event{Kind: PaneUpdated, Summary: s.renderLocked(p, "", "")})
+		s.hub.Publish(Event{Kind: PaneUpdated, Summary: s.renderLocked(p, "", "")})
 	}
 }
 
@@ -482,7 +465,7 @@ func (s *Summarizer) closeLocked(idx int64, p *pane) {
 		s.ring = s.ring[:len(s.ring)-1]
 	}
 	s.windowsClosed.Add(1)
-	s.publishLocked(Event{Kind: PaneClosed, Summary: s.renderLocked(p, "", "")})
+	s.hub.Publish(Event{Kind: PaneClosed, Summary: s.renderLocked(p, "", "")})
 }
 
 // Close retires every open pane (publishing final summaries) and
@@ -497,7 +480,7 @@ func (s *Summarizer) Close() {
 		s.closeOldestLocked()
 	}
 	s.shut = true
-	s.closeSubsLocked()
+	s.hub.Close()
 }
 
 // ResetObserver discards every pane, the watermark and the late-drop
@@ -522,73 +505,21 @@ func (s *Summarizer) ResetObserver() {
 	s.retiredEvict = 0
 }
 
-// CloseSubscribers ends every subscription stream but keeps the
-// summarizer folding — the server's drain closes subscriber channels
-// early (so forwarders exit) while the ingest queue is still flushing
-// its tail into the store, then calls Close once the flush is done so
-// final counters cover every admitted record.
-func (s *Summarizer) CloseSubscribers() {
-	s.mu.Lock()
-	s.closeSubsLocked()
-	s.mu.Unlock()
-}
-
-func (s *Summarizer) closeSubsLocked() {
-	for sub := range s.subs {
-		delete(s.subs, sub)
-		if !sub.closed {
-			sub.closed = true
-			close(sub.ch)
-		}
-	}
-}
+// Hub exposes the window-event hub. Closing it ends every subscription
+// stream but keeps the summarizer folding — the server's drain closes
+// subscriber channels early (so forwarders exit) while the ingest queue
+// is still flushing its tail into the store, then calls Close once the
+// flush is done so final counters cover every admitted record.
+func (s *Summarizer) Hub() *fleetstore.Hub[Event] { return s.hub }
 
 // Subscribe registers a rollup event subscriber. closedOnly suppresses
 // opened/updated events, delivering only final window summaries.
-func (s *Summarizer) Subscribe(closedOnly bool, buf int) *Sub {
-	if buf <= 0 {
-		buf = s.cfg.SubBuf
+func (s *Summarizer) Subscribe(closedOnly bool, buf int) *fleetstore.Sub[Event] {
+	var match func(*Event) bool
+	if closedOnly {
+		match = func(ev *Event) bool { return ev.Kind == PaneClosed }
 	}
-	sub := &Sub{closedOnly: closedOnly, ch: make(chan Event, buf)}
-	s.mu.Lock()
-	if s.shut {
-		sub.closed = true
-		close(sub.ch)
-	} else {
-		s.subs[sub] = struct{}{}
-	}
-	s.mu.Unlock()
-	return sub
-}
-
-// Unsubscribe removes a subscriber and closes its stream. Safe to call
-// more than once.
-func (s *Summarizer) Unsubscribe(sub *Sub) {
-	s.mu.Lock()
-	if _, ok := s.subs[sub]; ok {
-		delete(s.subs, sub)
-	}
-	if !sub.closed {
-		sub.closed = true
-		close(sub.ch)
-	}
-	s.mu.Unlock()
-}
-
-// publishLocked fans an event out without blocking; a full subscriber
-// buffer drops the event for that subscriber (counted).
-func (s *Summarizer) publishLocked(ev Event) {
-	for sub := range s.subs {
-		if sub.closedOnly && ev.Kind != PaneClosed {
-			continue
-		}
-		select {
-		case sub.ch <- ev:
-		default:
-			sub.dropped.Add(1)
-			s.eventsDropped.Add(1)
-		}
-	}
+	return s.hub.Subscribe(match, buf)
 }
 
 // QueryOpts selects rollup windows. Zero values: Windows <= 0 returns
@@ -675,8 +606,8 @@ func (s *Summarizer) Stats() Stats {
 		Records:       s.records.Load(),
 		Late:          s.late.Load(),
 		Evictions:     s.retiredEvict,
-		EventsDropped: s.eventsDropped.Load(),
-		Subscribers:   len(s.subs),
+		EventsDropped: s.hub.Dropped(),
+		Subscribers:   s.hub.Len(),
 	}
 	for _, p := range s.open {
 		st.BytesInUse += p.bytes()

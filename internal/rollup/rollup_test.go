@@ -100,7 +100,7 @@ func TestWindowLifecycle(t *testing.T) {
 	if st.Late != 1 || st.Records != 1 {
 		t.Fatalf("late record accounting: %+v", st)
 	}
-	s.Unsubscribe(sub)
+	s.Hub().Unsubscribe(sub)
 }
 
 // TestMaxOpenPanesEarlyCloses: skewed arrival cannot hold more than
@@ -131,7 +131,7 @@ func TestDeterministicAcrossSubscriberTiming(t *testing.T) {
 
 	run := func(withSub bool) Result {
 		s := New(testConfig())
-		var sub *Sub
+		var sub *fleetstore.Sub[Event]
 		if withSub {
 			sub = s.Subscribe(false, 1) // tiny buffer: most events drop
 		}

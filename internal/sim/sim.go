@@ -45,9 +45,6 @@ func (t Time) String() string {
 	}
 }
 
-// Seconds returns the time as a float64 number of seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // Handler is a callback executed when an event fires.
 type Handler func()
 

@@ -42,9 +42,6 @@ type HostReport struct {
 // HostReportWire is the exact encoded size of a host report.
 const HostReportWire = 4 + 8 + 8 + 8 + 8 + 8 + 8 + 8 + 4
 
-// WireSize returns the encoded size in bytes (fixed for this record).
-func (r *HostReport) WireSize() int { return HostReportWire }
-
 // MarshalBinary encodes the report (fixed-width big-endian fields).
 func (r *HostReport) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, 0, HostReportWire)

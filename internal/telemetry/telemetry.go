@@ -46,12 +46,6 @@ type Config struct {
 	// comparator in the pipeline; it keeps idle-era traffic from diluting
 	// the contention statistics of the epoch the anomaly starts in.
 	DeepQdepthBytes int
-	// MeterWindow is the rotation period of the PFC-causality traffic
-	// meter (Fig. 3). The meter lives outside the epoch ring — unlike
-	// flow telemetry it must survive a full traffic freeze (deadlock) —
-	// and keeps two buckets, so reads cover 1-2 windows of history.
-	// Zero means NumEpochs * EpochSize.
-	MeterWindow sim.Time
 }
 
 // DefaultConfig matches the paper's testbed defaults scaled to the
@@ -100,9 +94,6 @@ type FlowRecord struct {
 	Bytes       uint64
 }
 
-// ContentionPkts returns the packets carrying contention evidence.
-func (f *FlowRecord) ContentionPkts() uint32 { return f.DeepCount }
-
 // AvgQdepth returns the mean queue depth (bytes) the flow's contention
 // packets saw.
 func (f *FlowRecord) AvgQdepth() float64 {
@@ -121,14 +112,6 @@ type PortRecord struct {
 	PausedCount uint32
 	QdepthSum   uint64
 	Bytes       uint64
-}
-
-// AvgQdepth returns the mean queue depth (bytes) seen at this port.
-func (p *PortRecord) AvgQdepth() float64 {
-	if p.PktCount == 0 {
-		return 0
-	}
-	return float64(p.QdepthSum) / float64(p.PktCount)
 }
 
 // epoch is one ring entry.
@@ -217,12 +200,14 @@ func New(cfg Config, swID topo.NodeID, name string, numPorts int, linkBps float6
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	win := cfg.MeterWindow
-	if win == 0 {
-		// The paper leaves meter aging unspecified; default to twice the
-		// epoch-ring span so PFC causality outlives the flow telemetry.
-		win = 2 * sim.Time(cfg.NumEpochs) * cfg.EpochSize()
-	}
+	// win is the rotation period of the PFC-causality traffic meter
+	// (Fig. 3). The meter lives outside the epoch ring — unlike flow
+	// telemetry it must survive a full traffic freeze (deadlock) — and
+	// keeps two buckets, so reads cover 1-2 windows of history. The
+	// paper leaves meter aging unspecified; the window is twice the
+	// epoch-ring span (2 * NumEpochs * EpochSize) so PFC causality
+	// outlives the flow telemetry.
+	win := 2 * sim.Time(cfg.NumEpochs) * cfg.EpochSize()
 	s := &State{
 		Cfg:       cfg,
 		Switch:    swID,
@@ -479,6 +464,3 @@ func (s *State) MeterRecent(inPort, outPort int) uint64 {
 	i := inPort*s.numPorts + outPort
 	return s.meterCur[i] + s.meterPrev[i]
 }
-
-// NumPorts returns the port count covered by this state.
-func (s *State) NumPorts() int { return s.numPorts }

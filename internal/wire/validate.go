@@ -54,8 +54,6 @@ var payloadCaps = [...]int{
 	MsgDiagnose:         capDiagnose,
 	MsgDiagnosis:        MaxFrame,
 	MsgError:            capError,
-	MsgIncidents:        capEmpty,
-	MsgIncidentList:     MaxFrame,
 	MsgQueryIncidents:   capRequest,
 	MsgIncidentMatches:  MaxFrame,
 	MsgSubscribe:        capRequest,

@@ -17,25 +17,30 @@ import (
 // with the fabric keep the full budget.
 func TestPayloadCapTable(t *testing.T) {
 	for mt := MsgHello; mt <= MsgShutdown; mt++ {
+		if !Known(mt) {
+			continue // a retired type
+		}
 		c := PayloadCap(mt)
 		if c <= 0 || c > MaxFrame {
 			t.Fatalf("type %d cap %d outside (0, MaxFrame]", mt, c)
 		}
 	}
-	tight := []MsgType{MsgDiagnose, MsgHelloOK, MsgIncidents, MsgHealth, MsgShutdown,
+	tight := []MsgType{MsgDiagnose, MsgHelloOK, MsgHealth, MsgShutdown,
 		MsgQueryIncidents, MsgSubscribe, MsgError}
 	for _, mt := range tight {
 		if PayloadCap(mt) >= MaxFrame {
 			t.Fatalf("type %d cap %d not tightened below MaxFrame", mt, PayloadCap(mt))
 		}
 	}
-	for _, mt := range []MsgType{MsgReport, MsgIncidentList, MsgIncidentMatches, MsgDiagnosis} {
+	for _, mt := range []MsgType{MsgReport, MsgIncidentMatches, MsgDiagnosis} {
 		if PayloadCap(mt) != MaxFrame {
 			t.Fatalf("type %d cap %d, want full MaxFrame", mt, PayloadCap(mt))
 		}
 	}
-	if PayloadCap(MsgType(200)) != MaxFrame {
-		t.Fatal("unknown types must keep the global bound only")
+	for _, mt := range []MsgType{7, 8, 200} {
+		if Known(mt) || PayloadCap(mt) != MaxFrame {
+			t.Fatalf("type %d: unknown and retired types must keep the global bound only", mt)
+		}
 	}
 }
 

@@ -34,11 +34,9 @@ const (
 	MsgDiagnosis MsgType = 5
 	// MsgError reports a server-side failure: UTF-8 text payload.
 	MsgError MsgType = 6
-	// MsgIncidents asks for the session's diagnoses grouped into
-	// incidents (empty payload = default window).
-	MsgIncidents MsgType = 7
-	// MsgIncidentList is the reply: JSON array of IncidentSummary.
-	MsgIncidentList MsgType = 8
+	// Types 7 and 8 are retired: they were a session-scoped incident
+	// grouping verb and its reply, superseded by MsgQueryIncidents. They
+	// stay unused so an old peer's frame is refused, not misread.
 	// MsgQueryIncidents asks the fleet store for clustered incidents:
 	// JSON IncidentQuery payload.
 	MsgQueryIncidents MsgType = 9
@@ -132,9 +130,10 @@ const (
 )
 
 // Known reports whether t is a frame type this protocol version
-// defines. Readers skip unknown types instead of failing the session,
-// so a newer peer can add frames without breaking older tails.
-func Known(t MsgType) bool { return t >= MsgHello && t <= MsgHostReport }
+// defines (retired types are not). Readers skip unknown types instead
+// of failing the session, so a newer peer can add frames without
+// breaking older tails.
+func Known(t MsgType) bool { return int(t) < len(payloadCaps) && payloadCaps[t] != 0 }
 
 // MaxFrame bounds a frame body; a full fat-tree telemetry report is tens
 // of KB, the topology spec of a large pod a few hundred KB.
@@ -181,17 +180,6 @@ type Diagnosis struct {
 	Score      float64 `json:"score,omitempty"`
 	// Missing lists the evidence gaps that degraded the confidence.
 	Missing []string `json:"missing,omitempty"`
-}
-
-// IncidentSummary is one grouped anomaly event in a MsgIncidentList.
-type IncidentSummary struct {
-	Type       string `json:"type"`
-	Complaints int    `json:"complaints"`
-	Victims    int    `json:"victims"`
-	FirstNS    int64  `json:"firstNs"`
-	LastNS     int64  `json:"lastNs"`
-	// Rendered is the primary member's diagnosis report.
-	Rendered string `json:"rendered"`
 }
 
 // IncidentQuery filters the fleet store. Zero values mean "any", except

@@ -200,10 +200,11 @@ func TestUnknownTypeSkippable(t *testing.T) {
 	if err != nil || mt != MsgIncidentEvent || string(payload) != "{}" {
 		t.Fatalf("frame after skip: type=%d payload=%q err=%v", mt, payload, err)
 	}
-	// Every defined type is Known; the neighbors are not.
+	// Every defined type is Known; the retired types and the neighbors
+	// are not.
 	for mt := MsgHello; mt <= MsgHostReport; mt++ {
-		if !Known(mt) {
-			t.Fatalf("Known(%d) = false for defined type", mt)
+		if retired := mt == 7 || mt == 8; Known(mt) == retired {
+			t.Fatalf("Known(%d) = %v, retired = %v", mt, Known(mt), retired)
 		}
 	}
 	if Known(0) || Known(MsgHostReport+1) {
