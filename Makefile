@@ -66,9 +66,10 @@ no-poll:
 
 # sync-stress repeats every package's tests at GOMAXPROCS 1 and 2
 # (-cpu), three times each: a test that passes only on a wide machine,
-# or only sometimes, fails here. internal/experiments is left out: its
-# trial sweeps are deterministic by construction and take minutes a run.
-STRESS_PKGS = $(filter-out hawkeye/internal/experiments,$(shell $(GO) list ./...))
+# or only sometimes, fails here. internal/experiments and
+# examples/hostside are left out: their trial sweeps are deterministic
+# by construction and take minutes (seconds, for the example) a run.
+STRESS_PKGS = $(filter-out hawkeye/internal/experiments hawkeye/examples/hostside,$(shell $(GO) list ./...))
 
 sync-stress:
 	$(call run-tests,.,-count=3 -cpu 1$(comma)2 $(STRESS_PKGS))
@@ -115,12 +116,12 @@ fuzz-smoke:
 # sick host; absent -> never a high-confidence network verdict), the
 # mixed host/network evaluation with its >= 90% attribution floor, the
 # host-telemetry robustness curve, and the pathology model suite. The
-# hostside example rides along.
+# hostside example's golden-output test rides along.
 host-smoke:
 	$(call run-tests,TestHostAttributionProperty,-race ./internal/experiments -host.seeds=200 -timeout 40m)
 	$(call run-tests,TestHostEvalAccuracy|TestMixedRobustnessConfidence,-race ./internal/experiments -timeout 20m)
 	$(GO) test -race ./internal/host
-	$(GO) run ./examples/hostside
+	$(GO) test -count=1 ./examples/hostside
 
 # cluster-smoke proves the scale-out contract: a 20-seed kill-loop over
 # a 3-shard cluster under the race detector — every shard a durable
@@ -129,12 +130,12 @@ host-smoke:
 # them durably, a seed-chosen primary killed and its follower promoted
 # every round — asserting no acked record lost, deterministic routing,
 # and front-door rollup merges identical to a single-store reference.
-# The ring/follower/frontdoor suites and the cluster example ride
-# along.
+# The ring/follower/frontdoor suites and the cluster example's test
+# ride along.
 cluster-smoke:
 	$(call run-tests,TestKillLoop,-race ./internal/fleet -fleet.seeds=20)
 	$(call run-tests,TestRing|TestFollower|TestFrontdoor,-race ./internal/fleet)
-	$(GO) run ./examples/cluster
+	$(GO) test -count=1 ./examples/cluster
 
 # reshard-smoke proves the failover-under-migration contract: a
 # 20-seed partition+reshard loop over a 3-shard cluster under the race
@@ -154,10 +155,10 @@ reshard-smoke:
 # rollup-smoke proves the summarization contract end to end: the
 # three-fabric example must produce a rollup stream >= 10x quieter than
 # the raw incident firehose with drill-down recovering the constituent
-# incidents (it exits non-zero otherwise), backed by the sketch
+# incidents (its test fails otherwise), backed by the sketch
 # error-bound and memory-cap suites and the wire-level rollup tests.
 rollup-smoke:
-	$(GO) run ./examples/rollup
+	$(GO) test -count=1 ./examples/rollup
 	$(GO) test -race ./internal/rollup
 	$(call run-tests,TestRollup|TestResubscribe,-race ./internal/analyzd)
 

@@ -1,18 +1,25 @@
 // Command hawkeye-sim runs one anomaly scenario on the fat-tree K=4
 // evaluation topology with Hawkeye installed, then prints the detection
 // events, the heterogeneous provenance graph and the diagnosis — the
-// workflow of the paper's case studies (Fig. 12).
+// workflow of the paper's case studies (Fig. 12). It is also the figure
+// driver of the evaluation (§4).
 //
 // Usage:
 //
 //	hawkeye-sim -scenario incast-backpressure -seed 1 -v
-//	hawkeye-sim -sweep eval -trials 3 -parallel 8
+//	hawkeye-sim -sweep all -trials 3
+//	hawkeye-sim -sweep fig7-full -trials 3 -parallel 8
 //	hawkeye-sim -sweep fig7 -cpuprofile cpu.pprof
 //
 // With -sweep it runs a figure sweep on the parallel trial scheduler
-// instead of a single trial, printing the table plus wall-clock and
-// trials/sec. -cpuprofile / -memprofile capture pprof profiles of
-// whichever mode ran.
+// instead of a single trial, printing its tables plus wall-clock and
+// trials/sec; the output is byte-identical at any -parallel value.
+// -sweep all prints every table of §4 in paper order: the Fig 7 quick
+// grid, Figs 8-11, the Fig 12 case studies, Fig 13a/b, Fig 14, the
+// poller latency model, the three ablations, the testbed table and
+// partial deployment. -sweep fig7-full is the whole Fig 7 grid (5
+// epochs x 4 thresholds). -cpuprofile / -memprofile capture pprof
+// profiles of whichever mode ran.
 package main
 
 import (
@@ -28,9 +35,11 @@ import (
 	"hawkeye/internal/diagnosis"
 	"hawkeye/internal/experiments"
 	"hawkeye/internal/fleetstore"
-	"hawkeye/internal/metrics"
+	"hawkeye/internal/resources"
 	"hawkeye/internal/workload"
 )
+
+const sweepNames = "all, eval, fig7, fig7-full, robustness, testbed, host-eval, host-robustness"
 
 func main() {
 	scenario := flag.String("scenario", workload.NameIncast,
@@ -47,7 +56,7 @@ func main() {
 	dotPath := flag.String("dot", "", "write the scored provenance graph as Graphviz DOT to this file")
 	chaosSpec := flag.String("chaos", "", "fault schedule, e.g. poll-loss=0.1,tel-loss=0.3,collect-drop=0.2 (see internal/chaos)")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "fault-injection seed (0 = derive from -seed)")
-	sweep := flag.String("sweep", "", "run a figure sweep instead of one trial: eval, fig7, robustness, testbed, host-eval, host-robustness")
+	sweep := flag.String("sweep", "", "run a figure sweep instead of one trial: "+sweepNames)
 	trials := flag.Int("trials", 3, "trials (seeds) per sweep point")
 	parallel := flag.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS, 1 = serial)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -180,68 +189,67 @@ func main() {
 
 // runSweep fans one figure sweep across the trial scheduler and reports
 // throughput: the sweeps are embarrassingly parallel at trial
-// granularity, so trials/sec is the number that tracks core count.
+// granularity, so trials/sec is the number that tracks core count. The
+// trial count is the runner's own tally, not a per-sweep formula.
 func runSweep(name, scenario string, seed uint64, trials, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	r := experiments.NewRunner(workers)
 	start := time.Now()
-	var (
-		out fmt.Stringer
-		n   int
-		err error
-	)
-	switch name {
-	case "eval":
-		var run *experiments.EvalRun
-		run, err = r.RunEval(trials)
-		n = len(experiments.EvalScenarios()) * trials
-		if err == nil {
-			out = run.Fig8()
-		}
-	case "fig7":
-		cfg := experiments.QuickFig7()
+	fig7 := func(cfg experiments.Fig7Config) {
 		cfg.Trials = trials
-		n = len(experiments.AnomalyScenarios()) * len(cfg.EpochBits) * len(cfg.Factors) * trials
-		_, out, err = r.Fig7(cfg)
-	case "robustness":
-		rates := []float64{0, 0.1, 0.25, 0.5}
-		n = len(rates) * trials
-		var curve *metrics.RobustnessCurve
-		curve, err = r.RunRobustnessCurve(scenario, seed, rates, trials)
-		if err == nil {
-			out = curve.Table()
-		}
-	case "testbed":
-		n = 2 * trials
-		out, err = r.TestbedTable(trials)
-	case "host-eval":
-		var eval *experiments.HostEval
-		eval, err = r.RunHostEval(trials)
-		n = len(workload.MixedScenarios()) * trials
-		if err == nil {
-			out = eval.Table()
-		}
-	case "host-robustness":
-		rates := []float64{0, 0.1, 0.25, 0.5}
-		n = len(rates) * len(workload.MixedScenarios()) * trials
-		var curve *metrics.RobustnessCurve
-		curve, err = r.RunMixedRobustnessCurve(seed, rates, trials)
-		if err == nil {
-			out = curve.Table()
-		}
-	default:
-		die(fmt.Errorf("unknown -sweep %q (want eval, fig7, robustness, testbed, host-eval or host-robustness)", name))
+		_, t, err := r.Fig7(cfg)
+		fmt.Println(must(t, err))
 	}
+	rates := []float64{0, 0.1, 0.25, 0.5}
+	switch name {
+	case "all":
+		fig7(experiments.QuickFig7())
+		run := must(r.RunEval(trials))
+		fmt.Println(run.Fig8())
+		fmt.Println(run.Fig9())
+		fmt.Println(run.Fig10())
+		fmt.Println(run.Fig11())
+		fmt.Println(must(r.Fig12()))
+		fmt.Println(resources.Fig13a())
+		fmt.Println(resources.Fig13b())
+		fmt.Println(run.Fig14())
+		fmt.Println(experiments.PollerLatency())
+		fmt.Println(must(r.AblationMeterBits(trials)))
+		fmt.Println(must(r.AblationEpochCount(trials)))
+		fmt.Println(must(r.AblationDedup(trials)))
+		fmt.Println(must(r.TestbedTable(trials)))
+		fmt.Println(must(r.PartialDeployment(trials)))
+	case "eval":
+		fmt.Println(must(r.RunEval(trials)).Fig8())
+	case "fig7":
+		fig7(experiments.QuickFig7())
+	case "fig7-full":
+		fig7(experiments.DefaultFig7())
+	case "robustness":
+		fmt.Println(must(r.RunRobustnessCurve(scenario, seed, rates, trials)).Table())
+	case "testbed":
+		fmt.Println(must(r.TestbedTable(trials)))
+	case "host-eval":
+		fmt.Println(must(r.RunHostEval(trials)).Table())
+	case "host-robustness":
+		fmt.Println(must(r.RunMixedRobustnessCurve(seed, rates, trials)).Table())
+	default:
+		die(fmt.Errorf("unknown -sweep %q (want %s)", name, sweepNames))
+	}
+	elapsed := time.Since(start)
+	fmt.Printf("sweep %s: %d trials, %d workers, wall %v, %.2f trials/sec\n",
+		name, r.Trials(), workers, elapsed.Round(time.Millisecond),
+		float64(r.Trials())/elapsed.Seconds())
+}
+
+// must returns v, or exits on err.
+func must[T any](v T, err error) T {
 	if err != nil {
 		die(err)
 	}
-	fmt.Println(out)
-	elapsed := time.Since(start)
-	fmt.Printf("sweep %s: %d trials, %d workers, wall %v, %.2f trials/sec\n",
-		name, n, workers, elapsed.Round(time.Millisecond),
-		float64(n)/elapsed.Seconds())
+	return v
 }
 
 func die(err error) {

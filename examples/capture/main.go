@@ -6,13 +6,19 @@
 // trace diagnosed by Hawkeye names the injector.
 //
 //	go run ./examples/capture [trace.pcap]
+//
+// The capture goes to storm.pcap in the working directory unless a path
+// is given.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"hawkeye/internal/cluster"
@@ -29,11 +35,19 @@ func main() {
 	if len(os.Args) > 1 {
 		path = os.Args[1]
 	}
+	if err := run(os.Stdout, path); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run captures the storm to path, replays the capture, and contrasts
+// the tally with Hawkeye's diagnosis. It prints only path's base name,
+// so the output does not depend on where the file went.
+func run(w io.Writer, path string) error {
 	// Build the fat-tree, install Hawkeye, attach a capture tap.
 	ft, err := topo.NewFatTree(4)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	routing := topo.ComputeRouting(ft.Topology)
 	ccfg := cluster.DefaultConfig(ft.Topology)
@@ -45,41 +59,44 @@ func main() {
 	score.Collect.PerEpochLatency = 50 * sim.Microsecond
 	sys, err := core.Install(cl, score)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
-	w, err := pcap.NewWriter(f)
+	pw, err := pcap.NewWriter(f)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	tap := pcap.AttachTap(cl.Net, w)
+	tap := pcap.AttachTap(cl.Net, pw)
 
 	// The anomaly: a rogue host injects PFC (Fig. 1b).
 	params := workload.DefaultParams(score.Telemetry.EpochSize())
 	gt := workload.BuildStorm(cl, ft, params)
 	cl.Run(gt.AnomalyAt + 10*sim.Millisecond)
 	if tap.Err != nil {
-		log.Fatal(tap.Err)
+		return tap.Err
 	}
-	if err := w.Flush(); err != nil {
-		log.Fatal(err)
+	if err := pw.Flush(); err != nil {
+		return err
 	}
-	fmt.Printf("captured %d frames -> %s (open with tcpdump/Wireshark)\n\n", w.Packets, path)
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "captured %d frames -> %s (open with tcpdump/Wireshark)\n\n", pw.Packets, filepath.Base(path))
 
 	// The operator's view: replay the capture and tally it.
 	rf, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer rf.Close()
 	pr, err := pcap.NewReader(rf)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pfcBySrc := map[[6]byte]int{}
 	var frames, pfcFrames int
@@ -90,12 +107,12 @@ func main() {
 			break
 		}
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		frames++
 		dec, err := pcap.DecodeFrame(rec.Data)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if dec.IsPFC && dec.PFC.Paused(packet.ClassLossless) {
 			pfcFrames++
@@ -105,44 +122,37 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("capture analysis: %d frames, %d PFC PAUSE frames, first at %v\n",
+	fmt.Fprintf(w, "capture analysis: %d frames, %d PFC PAUSE frames, first at %v\n",
 		frames, pfcFrames, firstPFC)
-	type srcCount struct {
-		mac [6]byte
-		n   int
+	var macs [][6]byte
+	for mac := range pfcBySrc {
+		macs = append(macs, mac)
 	}
-	var tops []srcCount
-	for mac, n := range pfcBySrc {
-		tops = append(tops, srcCount{mac, n})
-	}
-	sort.Slice(tops, func(i, j int) bool {
-		if tops[i].n != tops[j].n {
-			return tops[i].n > tops[j].n
+	sort.Slice(macs, func(i, j int) bool {
+		if ni, nj := pfcBySrc[macs[i]], pfcBySrc[macs[j]]; ni != nj {
+			return ni > nj
 		}
-		return tops[i].mac[3] < tops[j].mac[3]
+		return bytes.Compare(macs[i][:], macs[j][:]) < 0
 	})
-	fmt.Println("top PAUSE senders (MACs):")
-	for i, s := range tops {
-		if i == 3 {
-			break
-		}
-		fmt.Printf("  %02x:%02x:%02x:%02x:%02x:%02x  %d frames\n",
-			s.mac[0], s.mac[1], s.mac[2], s.mac[3], s.mac[4], s.mac[5], s.n)
+	fmt.Fprintln(w, "top PAUSE senders (MACs):")
+	for _, mac := range macs[:min(3, len(macs))] {
+		fmt.Fprintf(w, "  %v  %d frames\n", net.HardwareAddr(mac[:]), pfcBySrc[mac])
 	}
-	fmt.Println("\n-> the capture shows a pause volume ranking, but every switch in")
-	fmt.Println("   the spreading tree relays pauses: volume does not separate the")
-	fmt.Println("   injector from its victims. Hawkeye's provenance does:")
+	fmt.Fprintln(w, "\n-> the capture shows a pause volume ranking, but every switch in")
+	fmt.Fprintln(w, "   the spreading tree relays pauses: volume does not separate the")
+	fmt.Fprintln(w, "   injector from its victims. Hawkeye's provenance does:")
 
 	results := sys.DiagnoseAll()
 	for _, r := range results {
 		if !gt.Victims[r.Trigger.Victim] || r.Trigger.At < gt.AnomalyAt {
 			continue
 		}
-		fmt.Printf("\n%s", r.Diagnosis.String())
+		fmt.Fprintf(w, "\n%s", r.Diagnosis.String())
 		cause := r.Diagnosis.PrimaryCause()
 		peer, _ := cl.Topo.PeerOf(cause.Port.Node, cause.Port.Port)
-		fmt.Printf("identified injector: %s (ground truth: %s)\n",
+		fmt.Fprintf(w, "identified injector: %s (ground truth: %s)\n",
 			cl.Topo.Node(peer).Name, cl.Topo.Node(gt.Injector).Name)
 		break
 	}
+	return nil
 }

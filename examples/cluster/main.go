@@ -6,13 +6,14 @@
 // answers. The run asserts the fleet tier's contract — no acknowledged
 // record lost across the failover, deterministic routing, merged
 // rollup windows identical to a single reference summarizer — and
-// exits non-zero on any violation.
+// returns an error on any violation.
 //
 //	go run ./examples/cluster
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -20,26 +21,32 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	dir, err := os.MkdirTemp("", "hawkeye-cluster-*")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 
-	fmt.Println("3-shard cluster kill-loop (seed 42): semi-sync replication,")
-	fmt.Println("seed-chosen primary kills, follower promotion, front-door merge")
-	fmt.Println()
+	fmt.Fprintln(w, "3-shard cluster kill-loop (seed 42): semi-sync replication,")
+	fmt.Fprintln(w, "seed-chosen primary kills, follower promotion, front-door merge")
+	fmt.Fprintln(w)
 
 	rep, err := fleet.KillLoop(dir, 42, fleet.KillLoopConfig{Rounds: 3})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cluster contract violated:", err)
-		os.Exit(1)
+		return fmt.Errorf("cluster contract violated: %w", err)
 	}
-	fmt.Println(rep)
-	fmt.Println()
-	fmt.Printf("every one of the %d acknowledged records survived %d failovers,\n",
+	fmt.Fprintln(w, rep)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "every one of the %d acknowledged records survived %d failovers,\n",
 		rep.Acked, rep.Failovers)
-	fmt.Printf("and the front door's %d merged rollup windows matched a single\n",
+	fmt.Fprintf(w, "and the front door's %d merged rollup windows matched a single\n",
 		rep.MergedWindows)
-	fmt.Println("reference summarizer exactly — counts, quantiles and heavy hitters.")
+	fmt.Fprintln(w, "reference summarizer exactly — counts, quantiles and heavy hitters.")
+	return nil
 }

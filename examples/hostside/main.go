@@ -17,21 +17,29 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"hawkeye/internal/experiments"
 	"hawkeye/internal/workload"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	for _, name := range workload.HostScenarios() {
-		fmt.Printf("== %s ==\n", name)
+		fmt.Fprintf(w, "== %s ==\n", name)
 		for _, degraded := range []bool{false, true} {
 			cfg := experiments.DefaultTrialConfig(name, 2)
 			cfg.DisableHostAgents = degraded
 			tr, err := experiments.RunTrial(cfg)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			arm := "host agents ON "
 			if degraded {
@@ -39,18 +47,18 @@ func main() {
 			}
 			r := tr.Score.Result
 			if r == nil {
-				fmt.Printf("%s: no diagnosis scored\n", arm)
+				fmt.Fprintf(w, "%s: no diagnosis scored\n", arm)
 				continue
 			}
 			d := r.Diagnosis
 			cause := d.PrimaryCause()
-			fmt.Printf("%s: %v / %v, confidence %v (%.2f), correct=%v\n",
+			fmt.Fprintf(w, "%s: %v / %v, confidence %v (%.2f), correct=%v\n",
 				arm, d.Type, cause.Kind, d.Confidence, d.ConfidenceScore, tr.Score.Correct)
 			for _, m := range d.Missing {
-				fmt.Printf("    missing: %s\n", m)
+				fmt.Fprintf(w, "    missing: %s\n", m)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	// The mixed evaluation: host and network anomalies interleaved, host
@@ -58,7 +66,8 @@ func main() {
 	// anomalies pinned on the right host with the right pathology.
 	eval, err := experiments.NewRunner(0).RunHostEval(3)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Print(eval.Table())
+	fmt.Fprint(w, eval.Table())
+	return nil
 }

@@ -11,25 +11,34 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"hawkeye/internal/experiments"
 )
 
 func main() {
-	score, err := experiments.RunECMPImbalance(1)
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
+
+func run(w io.Writer) error {
+	score, err := experiments.RunECMPImbalance(1)
+	if err != nil {
+		return err
+	}
 	if score.Result == nil {
-		fmt.Println("no complaint scored")
-		return
+		fmt.Fprintln(w, "no complaint scored")
+		return nil
 	}
 	r := score.Result
-	fmt.Printf("victim complaint: %v at %v (%s)\n\n", r.Trigger.Victim, r.Trigger.At, r.Trigger.Reason)
-	fmt.Print(r.Diagnosis.String())
-	fmt.Printf("\ncause refinement (§3.5.2): %v\n", r.Detail)
-	fmt.Println("-> the contributing flows had an equal-cost sibling uplink and")
-	fmt.Println("   polarized anyway: rebalance the hashing, don't blame the traffic.")
-	fmt.Printf("\nscored against ground truth: correct=%v (%s)\n", score.Correct, score.Reason)
+	fmt.Fprintf(w, "victim complaint: %v at %v (%s)\n\n", r.Trigger.Victim, r.Trigger.At, r.Trigger.Reason)
+	fmt.Fprint(w, r.Diagnosis.String())
+	fmt.Fprintf(w, "\ncause refinement (§3.5.2): %v\n", r.Detail)
+	fmt.Fprintln(w, "-> the contributing flows had an equal-cost sibling uplink and")
+	fmt.Fprintln(w, "   polarized anyway: rebalance the hashing, don't blame the traffic.")
+	fmt.Fprintf(w, "\nscored against ground truth: correct=%v (%s)\n", score.Correct, score.Reason)
+	return nil
 }

@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"hawkeye/internal/cluster"
 	"hawkeye/internal/core"
@@ -15,11 +17,17 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// 1. A fat-tree K=4 fabric: 20 switches, 16 hosts, 100 Gbps links
 	//    (the paper's NS-3 setup).
 	ft, err := topo.NewFatTree(4)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	routing := topo.ComputeRouting(ft.Topology)
 	cl := cluster.New(ft.Topology, routing, cluster.DefaultConfig(ft.Topology))
@@ -31,7 +39,7 @@ func main() {
 	cfg.Collect.PerEpochLatency = 50 * sim.Microsecond
 	sys, err := core.Install(cl, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 3. Traffic: a victim flow, plus a synchronized incast into the
@@ -48,17 +56,18 @@ func main() {
 	cl.Run(10 * sim.Millisecond)
 	results := sys.DiagnoseAll()
 
-	fmt.Printf("victim flow: %v\n", victim.Tuple)
-	fmt.Printf("detection events: %d\n\n", len(sys.Triggers()))
+	fmt.Fprintf(w, "victim flow: %v\n", victim.Tuple)
+	fmt.Fprintf(w, "detection events: %d\n\n", len(sys.Triggers()))
 	for _, r := range results {
 		if r.Trigger.Victim != victim.Tuple {
 			continue
 		}
-		fmt.Printf("diagnosis triggered at %v (%s):\n", r.Trigger.At, r.Trigger.Reason)
-		fmt.Print(r.Diagnosis.String())
-		fmt.Printf("\ntelemetry: %d switches, %d bytes collected\n",
+		fmt.Fprintf(w, "diagnosis triggered at %v (%s):\n", r.Trigger.At, r.Trigger.Reason)
+		fmt.Fprint(w, r.Diagnosis.String())
+		fmt.Fprintf(w, "\ntelemetry: %d switches, %d bytes collected\n",
 			len(r.Switches), r.ReportBytes)
-		return
+		return nil
 	}
-	fmt.Println("victim never complained — try a heavier incast")
+	fmt.Fprintln(w, "victim never complained — try a heavier incast")
+	return nil
 }

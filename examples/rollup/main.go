@@ -6,20 +6,20 @@
 // the rollups exist to provide: at least 10x fewer rollup events than
 // raw incident events. It then drills back down — from the hottest
 // switch in the summary to the constituent incidents in the store — to
-// show the summary is a lens, not a lossy dead end. Exits non-zero if
-// either property fails.
+// show the summary is a lens, not a lossy dead end. It returns an error
+// if either property fails.
 //
 //	go run ./examples/rollup
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hawkeye/internal/analyzd"
@@ -31,6 +31,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// Wide panes and sparse progress updates: the trials replay a few
 	// milliseconds of fabric time, so one pane holds the whole storm
 	// and the event stream stays quiet while the store churns.
@@ -39,24 +45,26 @@ func main() {
 	rcfg.UpdateEvery = 256
 	srv, err := analyzd.ListenOpts("127.0.0.1:0", analyzd.Options{Rollup: rcfg})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer srv.Close()
-	fmt.Printf("analyzer service on %s\n", srv.Addr())
+	fmt.Fprintf(w, "analyzer service on %s\n", srv.Addr())
 
 	// Two operator tails, side by side: the raw incident firehose and
-	// the rollup summary stream. Both just count; the point is the
-	// ratio between them.
-	var rawEvents, rollupEvents atomic.Uint64
+	// the rollup summary stream. The raw tail just counts, the rollup
+	// tail keeps its events' one-liners; the point is the ratio between
+	// them. Both are read only after tails.Wait.
+	var rawN int
+	var rollupLines []string
 	var tails sync.WaitGroup
 
 	raw, err := analyzd.DialOperator(srv.Addr())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer raw.Close()
 	if err := raw.Subscribe(wire.SubscribeRequest{Node: -1}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tails.Add(1)
 	go func() {
@@ -65,17 +73,17 @@ func main() {
 			if _, err := raw.NextEvent(); err != nil {
 				return // server closed
 			}
-			rawEvents.Add(1)
+			rawN++
 		}
 	}()
 
 	sum, err := analyzd.DialOperator(srv.Addr())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer sum.Close()
 	if err := sum.SubscribeRollups(wire.RollupSubscribeRequest{}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tails.Add(1)
 	go func() {
@@ -85,81 +93,77 @@ func main() {
 			if err != nil {
 				return
 			}
-			rollupEvents.Add(1)
-			fmt.Printf("  rollup [%s] %d record(s): %s\n",
-				strings.ToUpper(ev.Kind), ev.Summary.Records, ev.Summary.Headline)
+			rollupLines = append(rollupLines, fmt.Sprintf("  rollup [%s] %d record(s): %s",
+				strings.ToUpper(ev.Kind), ev.Summary.Records, ev.Summary.Headline))
 		}
 	}()
 
-	fabrics := []struct {
-		name     string
-		scenario string
-	}{
-		{"pod-a", workload.NameIncast},
-		{"pod-b", workload.NameIncast},
-		{"pod-c", workload.NameStorm},
+	fabrics := []*fabric{
+		{name: "pod-a", scenario: workload.NameIncast},
+		{name: "pod-b", scenario: workload.NameIncast},
+		{name: "pod-c", scenario: workload.NameStorm},
 	}
 	var wg sync.WaitGroup
 	for _, f := range fabrics {
-		f := f
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := driveFabric(srv.Addr(), f.name, f.scenario); err != nil {
-				log.Printf("%s: %v", f.name, err)
-			}
+			f.err = f.drive(srv.Addr())
 		}()
 	}
 	wg.Wait()
+	for _, f := range fabrics {
+		if f.err != nil {
+			return fmt.Errorf("%s: %w", f.name, f.err)
+		}
+		fmt.Fprintf(w, "%s: %s — %d telemetry reports, %d complaints filed\n",
+			f.name, f.scenario, f.reports, f.complaints)
+	}
 
 	// Query the summarized view. QueryRollups drains the ingest
 	// pipeline first, so this reads everything the fabrics filed.
 	q, err := analyzd.DialOperator(srv.Addr())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer q.Close()
 	res, err := q.QueryRollups(wire.RollupQuery{Sliding: 8})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if res.Sliding == nil {
-		fmt.Fprintln(os.Stderr, "FAIL: no rollup windows after three fabrics reported")
-		os.Exit(1)
+		return errors.New("no rollup windows after three fabrics reported")
 	}
 	view := res.Sliding
-	fmt.Printf("\nsummarized view (%d window(s) merged): %s\n", len(res.Windows), view.Headline)
-	fmt.Printf("  %d record(s); types: %v\n", view.Records, view.ByType)
+	fmt.Fprintf(w, "\nsummarized view (%d window(s) merged): %s\n", len(res.Windows), view.Headline)
+	fmt.Fprintf(w, "  %d record(s); types: %v\n", view.Records, view.ByType)
 	for _, level := range []string{"fabric", "switch"} {
 		for _, h := range view.Top[level] {
-			fmt.Printf("  top %-6s %s = %d (±%d)\n", level, h.Key, h.Count, h.Err)
+			fmt.Fprintf(w, "  top %-6s %s = %d (±%d)\n", level, h.Key, h.Count, h.Err)
 		}
 	}
-	fmt.Printf("  sketch state: %d bytes, %d evictions\n", view.Bytes, view.Evictions)
+	fmt.Fprintf(w, "  sketch state: %d bytes, %d evictions\n", view.Bytes, view.Evictions)
 
 	// Drill down: the hottest switch key encodes the node ID
 	// (fabric/pod/N<id>), and the store can answer for it directly.
 	if len(view.Top["switch"]) == 0 {
-		fmt.Fprintln(os.Stderr, "FAIL: summarized view has no switch heavy hitters")
-		os.Exit(1)
+		return errors.New("summarized view has no switch heavy hitters")
 	}
 	hot := view.Top["switch"][0].Key
-	node, err := nodeFromKey(hot)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "FAIL: %v\n", err)
-		os.Exit(1)
+	var node int
+	if _, err := fmt.Sscanf(hot[strings.LastIndexByte(hot, '/')+1:], "N%d", &node); err != nil {
+		return fmt.Errorf("malformed switch key %q: %v", hot, err)
 	}
 	incs, err := q.QueryIncidents(wire.IncidentQuery{Node: node})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if len(incs) == 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: drill-down from %s (node %d) found no incidents\n", hot, node)
-		os.Exit(1)
+		return fmt.Errorf("drill-down from %s (node %d) found no incidents", hot, node)
 	}
-	fmt.Printf("\ndrill-down %s -> node %d -> %d incident(s):\n", hot, node, len(incs))
+	fmt.Fprintf(w, "\ndrill-down %s -> node %d -> %d incident(s):\n", hot, node, len(incs))
 	for _, inc := range incs {
-		fmt.Printf("  #%d %s\n", inc.ID, inc.Summary)
+		fmt.Fprintf(w, "  #%d %s\n", inc.ID, inc.Summary)
 	}
 
 	// Let the forwarders deliver what the drained pipeline published,
@@ -169,41 +173,38 @@ func main() {
 	sum.Close()
 	tails.Wait()
 
-	rawN, sumN := rawEvents.Load(), rollupEvents.Load()
-	fmt.Printf("\nstream volume: %d raw incident events vs %d rollup events\n", rawN, sumN)
+	fmt.Fprintln(w, "\nrollup events seen by the summary tail:")
+	for _, line := range rollupLines {
+		fmt.Fprintln(w, line)
+	}
+	sumN := len(rollupLines)
+	fmt.Fprintf(w, "\nstream volume: %d raw incident events vs %d rollup events\n", rawN, sumN)
 	if sumN == 0 {
-		fmt.Fprintln(os.Stderr, "FAIL: rollup tail saw no events")
-		os.Exit(1)
+		return errors.New("rollup tail saw no events")
 	}
 	if rawN < 10*sumN {
-		fmt.Fprintf(os.Stderr, "FAIL: want raw >= 10x rollup volume, got %dx\n", rawN/sumN)
-		os.Exit(1)
+		return fmt.Errorf("want raw >= 10x rollup volume, got %dx", rawN/sumN)
 	}
-	fmt.Printf("OK: rollup stream is %dx quieter than the incident firehose\n", rawN/sumN)
+	fmt.Fprintf(w, "OK: rollup stream is %dx quieter than the incident firehose\n", rawN/sumN)
+	return nil
 }
 
-// nodeFromKey recovers the node ID from a switch-level rollup key,
-// which ends in "/N<id>".
-func nodeFromKey(key string) (int, error) {
-	i := strings.LastIndexByte(key, '/')
-	if i < 0 || i+2 > len(key) || key[i+1] != 'N' {
-		return 0, fmt.Errorf("malformed switch key %q", key)
-	}
-	node, err := strconv.Atoi(key[i+2:])
-	if err != nil {
-		return 0, fmt.Errorf("malformed switch key %q: %v", key, err)
-	}
-	return node, nil
+// fabric is one simulated fabric and what it filed with the analyzer.
+type fabric struct {
+	name, scenario      string
+	reports, complaints int
+	err                 error
 }
 
-// driveFabric simulates one fabric's anomaly and replays it into the
-// analyzer under the given fleet name, exactly as examples/fleet does.
-func driveFabric(addr, name, scenario string) error {
-	tr, err := experiments.RunTrial(experiments.DefaultTrialConfig(scenario, 1))
+// drive simulates the fabric's anomaly and replays it into the analyzer
+// under the fabric's name, exactly as examples/fleet does.
+func (f *fabric) drive(addr string) error {
+	tr, err := experiments.RunTrial(experiments.DefaultTrialConfig(f.scenario, 1))
 	if err != nil {
 		return err
 	}
-	c, err := analyzd.DialFabric(addr, name, tr.Cl.Topo, int64(tr.Sys.Cfg.Telemetry.EpochSize()))
+	f.reports = len(tr.View.Traced)
+	c, err := analyzd.DialFabric(addr, f.name, tr.Cl.Topo, int64(tr.Sys.Cfg.Telemetry.EpochSize()))
 	if err != nil {
 		return err
 	}
@@ -220,7 +221,6 @@ func driveFabric(addr, name, scenario string) error {
 			}
 		}
 	}
-	complaints := 0
 	for _, r := range tr.Results {
 		if !tr.GT.Victims[r.Trigger.Victim] || r.Trigger.At < tr.GT.AnomalyAt {
 			continue
@@ -229,9 +229,7 @@ func driveFabric(addr, name, scenario string) error {
 		if _, err := c.DiagnoseAt(r.Trigger.Victim, int64(r.Trigger.At), path...); err != nil {
 			return err
 		}
-		complaints++
+		f.complaints++
 	}
-	fmt.Printf("%s: %s — %d telemetry reports, %d complaints filed\n",
-		name, scenario, len(tr.View.Traced), complaints)
 	return nil
 }

@@ -3,15 +3,17 @@
 // resolves) and once with a SONiC-style PFC watchdog on every switch.
 // The watchdog restores service by dropping lossless traffic, but the
 // storm keeps recurring because the root cause (the routing loop) is
-// untouched; that diagnosis is Hawkeye's half, shown by the deadlock
-// example and the in-loop-deadlock scenario.
+// untouched; that diagnosis is Hawkeye's half, shown by
+// `hawkeye-sim -scenario in-loop-deadlock`.
 //
 //	go run ./examples/watchdog
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"hawkeye/internal/cluster"
 	"hawkeye/internal/packet"
@@ -20,10 +22,12 @@ import (
 	"hawkeye/internal/topo"
 )
 
-func run(withWatchdog bool) {
+// ring runs the forced-clockwise ring deadlock for 25ms, with or
+// without a watchdog on every switch, and prints what got through.
+func ring(w io.Writer, withWatchdog bool) error {
 	ring, err := topo.NewRing(4, 2, topo.DefaultBandwidth, topo.DefaultDelay)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	r := topo.ComputeRouting(ring.Topology)
 	ring.ForceClockwise(r, nil)
@@ -32,14 +36,14 @@ func run(withWatchdog bool) {
 	var dogs []*pfcwd.Watchdog
 	if withWatchdog {
 		for _, id := range ring.Switches {
-			w, err := pfcwd.Attach(cl.Eng, cl.Switches[id], pfcwd.DefaultConfig())
+			dog, err := pfcwd.Attach(cl.Eng, cl.Switches[id], pfcwd.DefaultConfig())
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			w.OnStorm = func(port int, now sim.Time) {
-				fmt.Printf("  %8v  watchdog: storm on a ring port, flushing + discarding\n", now)
+			dog.OnStorm = func(port int, now sim.Time) {
+				fmt.Fprintf(w, "  %8v  watchdog: storm on a ring port, flushing + discarding\n", now)
 			}
-			dogs = append(dogs, w)
+			dogs = append(dogs, dog)
 		}
 	}
 	for i := 0; i < 4; i++ {
@@ -68,25 +72,38 @@ func run(withWatchdog bool) {
 		}
 	}
 	storms, restores := 0, 0
-	for _, w := range dogs {
-		storms += w.Stats().Storms
-		restores += w.Stats().Restores
+	for _, dog := range dogs {
+		storms += dog.Stats().Storms
+		restores += dog.Stats().Restores
 	}
-	fmt.Printf("  after 25ms: paused ring ingresses=%d, delivered packets=%d", stuck, acked)
+	fmt.Fprintf(w, "  after 25ms: paused ring ingresses=%d, delivered packets=%d", stuck, acked)
 	if withWatchdog {
-		fmt.Printf(", storms=%d restores=%d lossless drops=%d", storms, restores, wdDrops)
+		fmt.Fprintf(w, ", storms=%d restores=%d lossless drops=%d", storms, restores, wdDrops)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	return nil
 }
 
 func main() {
-	fmt.Println("ring deadlock WITHOUT mitigation (cyclic buffer dependency, permanent):")
-	run(false)
-	fmt.Println()
-	fmt.Println("same deadlock WITH a PFC watchdog on every switch:")
-	run(true)
-	fmt.Println()
-	fmt.Println("the watchdog restores delivery by sacrificing losslessness — and the")
-	fmt.Println("storm recurs, because the routing loop is still there. Finding THAT")
-	fmt.Println("is the diagnosis problem Hawkeye solves (see examples/deadlock).")
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "ring deadlock WITHOUT mitigation (cyclic buffer dependency, permanent):")
+	if err := ring(w, false); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "same deadlock WITH a PFC watchdog on every switch:")
+	if err := ring(w, true); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "the watchdog restores delivery by sacrificing losslessness — and the")
+	fmt.Fprintln(w, "storm recurs, because the routing loop is still there. Finding THAT")
+	fmt.Fprintln(w, "is the diagnosis problem Hawkeye solves (see hawkeye-sim -scenario")
+	fmt.Fprintln(w, "in-loop-deadlock).")
+	return nil
 }

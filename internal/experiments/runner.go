@@ -22,25 +22,33 @@ type Runner struct {
 	// Workers bounds the number of in-flight trials. <= 0 means
 	// GOMAXPROCS; 1 degenerates to the plain serial loop.
 	Workers int
+
+	trials atomic.Int64
 }
 
 // NewRunner returns a runner with the given pool size (<= 0 means
 // GOMAXPROCS).
 func NewRunner(workers int) *Runner { return &Runner{Workers: workers} }
 
+// Trials reports how many trials this runner has completed. Every job a
+// sweep hands the pool runs exactly one trial, so this is the sweep's
+// trial count, counted rather than computed.
+func (r *Runner) Trials() int { return int(r.trials.Load()) }
+
 // workers resolves the effective pool size.
 func (r *Runner) workers() int {
-	if r == nil || r.Workers <= 0 {
+	if r.Workers <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
 	return r.Workers
 }
 
-// forEach runs fn(0..n-1) across the pool and returns the
-// lowest-indexed error. Jobs are handed out by an atomic cursor, so at
-// most `workers` trials are in flight; on error the remaining jobs are
-// abandoned (in-flight ones finish). With one worker it runs the plain
-// serial loop — the reference path the parallel one must match.
+// forEach runs fn(0..n-1) across the pool, counts each job that
+// succeeds as one trial, and returns the lowest-indexed error. Jobs are
+// handed out by an atomic cursor, so at most `workers` trials are in
+// flight; on error the remaining jobs are abandoned (in-flight ones
+// finish). With one worker it runs the plain serial loop — the
+// reference path the parallel one must match.
 func (r *Runner) forEach(n int, fn func(i int) error) error {
 	workers := r.workers()
 	if workers > n {
@@ -51,6 +59,7 @@ func (r *Runner) forEach(n int, fn func(i int) error) error {
 			if err := fn(i); err != nil {
 				return err
 			}
+			r.trials.Add(1)
 		}
 		return nil
 	}
@@ -81,6 +90,7 @@ func (r *Runner) forEach(n int, fn func(i int) error) error {
 					failed.Store(true)
 					return
 				}
+				r.trials.Add(1)
 			}
 		}()
 	}

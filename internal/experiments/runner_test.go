@@ -152,3 +152,20 @@ func TestRunnerBoundsInFlight(t *testing.T) {
 		t.Fatalf("peak in-flight = %d, want <= %d", p, workers)
 	}
 }
+
+// TestRunnerCountsTrials pins the throughput line's numerator: each
+// successful job is one trial, on the serial and the parallel path, and
+// the count accumulates across sweeps on one runner.
+func TestRunnerCountsTrials(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		r := NewRunner(workers)
+		for _, n := range []int{5, 7} {
+			if err := r.forEach(n, func(int) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := r.Trials(); got != 12 {
+			t.Fatalf("workers=%d: Trials() = %d, want 12", workers, got)
+		}
+	}
+}

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 )
 
 // syncOpts is the deterministic mode: every Append fsyncs inline.
@@ -203,41 +201,34 @@ func TestWALFsyncReorderDropsLaterSegments(t *testing.T) {
 	}
 }
 
-// TestWALGroupCommitBatches proves concurrent appends share fsyncs: all
-// durable on return, with strictly fewer syncs than appends.
+// TestWALGroupCommitBatches proves concurrent appends share fsyncs: the
+// first leader is parked in its fsync while the other 63 appenders queue
+// behind it, so on release they are all durable on return, with strictly
+// fewer syncs than appends.
 func TestWALGroupCommitBatches(t *testing.T) {
+	const n = 64
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{GroupWindow: 2 * time.Millisecond}, nil)
+	l, _, err := Open(dir, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 64
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = l.Append(uint64(i+1), entryPayload(i+1))
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
+	release, wait := appendBehindHeldSync(t, l, n-1)
+	close(release)
+	for seq, err := range wait() {
 		if err != nil {
-			t.Fatalf("append %d: %v", i+1, err)
+			t.Fatalf("append %d: %v", seq, err)
 		}
 	}
 	if l.Appends() != n {
 		t.Fatalf("appends = %d, want %d", l.Appends(), n)
 	}
-	if l.Syncs() >= n {
-		t.Fatalf("syncs = %d for %d appends: group commit did not batch", l.Syncs(), n)
+	if l.Syncs() >= l.Appends() {
+		t.Fatalf("syncs = %d for %d appends: group commit did not batch", l.Syncs(), l.Appends())
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, _, seqs := replayAll(t, dir, syncOpts())
+	l2, _, seqs := replayAll(t, dir, Options{})
 	defer l2.Close()
 	if len(seqs) != n {
 		t.Fatalf("replayed %d entries, want %d", len(seqs), n)
