@@ -21,18 +21,22 @@ out=`$(GO) test -run '$(1)' $(2) 2>&1`; rc=$$?; echo "$$out"; \
 [ $$rc -eq 0 ] || exit $$rc
 endef
 
-.PHONY: check build vet test race no-poll sync-stress benchmark fleet-race chaos-smoke recovery-smoke fuzz-smoke rollup-smoke cluster-smoke reshard-smoke host-smoke
+.PHONY: check build vet fmt test race no-poll sync-stress benchmark fleet-race chaos-smoke recovery-smoke fuzz-smoke rollup-smoke cluster-smoke reshard-smoke host-smoke
 
-# check is the CI gate: compile everything, vet, the no-poll guard,
-# full race-enabled tests, then the synchronisation-heavy packages
-# repeated at one and two cores.
-check: build vet no-poll race sync-stress
+# check is the CI gate: compile everything, vet, gofmt, the no-poll
+# guard, full race-enabled tests, then the synchronisation-heavy
+# packages repeated at one and two cores.
+check: build vet fmt no-poll race sync-stress
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails on any file gofmt would rewrite, and names it.
+fmt:
+	@files=`gofmt -l .`; test -z "$$files" || { echo "$$files"; echo "FAIL: gofmt -w the files above" >&2; exit 1; }
 
 test:
 	$(GO) test ./...

@@ -37,42 +37,41 @@ const (
 	TypeOutLoopDeadlockInjection
 )
 
-func (t AnomalyType) String() string {
-	switch t {
-	case TypeNone:
-		return "none"
-	case TypeNormalContention:
-		return "normal-flow-contention"
-	case TypePFCContention:
-		return "pfc-backpressure-contention"
-	case TypePFCStorm:
-		return "pfc-storm"
-	case TypeInLoopDeadlock:
-		return "in-loop-deadlock"
-	case TypeOutLoopDeadlockContention:
-		return "out-of-loop-deadlock-contention"
-	case TypeOutLoopDeadlockInjection:
-		return "out-of-loop-deadlock-injection"
-	default:
-		return fmt.Sprintf("AnomalyType(%d)", int(t))
-	}
+var anomalyTypeNames = [...]string{
+	TypeNone:                      "none",
+	TypeNormalContention:          "normal-flow-contention",
+	TypePFCContention:             "pfc-backpressure-contention",
+	TypePFCStorm:                  "pfc-storm",
+	TypeInLoopDeadlock:            "in-loop-deadlock",
+	TypeOutLoopDeadlockContention: "out-of-loop-deadlock-contention",
+	TypeOutLoopDeadlockInjection:  "out-of-loop-deadlock-injection",
 }
 
-// anomalyTypes enumerates every defined type, for ParseAnomalyType.
-var anomalyTypes = []AnomalyType{
-	TypeNone, TypeNormalContention, TypePFCContention, TypePFCStorm,
-	TypeInLoopDeadlock, TypeOutLoopDeadlockContention, TypeOutLoopDeadlockInjection,
+func (t AnomalyType) String() string {
+	if t < 0 || int(t) >= len(anomalyTypeNames) {
+		return fmt.Sprintf("AnomalyType(%d)", int(t))
+	}
+	return anomalyTypeNames[t]
 }
 
 // ParseAnomalyType inverts AnomalyType.String (wire filters carry the
 // string form). The second result is false for unknown names.
 func ParseAnomalyType(s string) (AnomalyType, bool) {
-	for _, t := range anomalyTypes {
-		if t.String() == s {
-			return t, true
+	for t, name := range anomalyTypeNames {
+		if name == s {
+			return AnomalyType(t), true
 		}
 	}
 	return TypeNone, false
+}
+
+// enumName returns names[i], or the zero value's name when i is out of
+// range: a kind decoded from a newer peer prints as the default.
+func enumName(names []string, i int) string {
+	if i < 0 || i >= len(names) {
+		return names[0]
+	}
+	return names[i]
 }
 
 // IsDeadlock reports whether the type is one of the deadlock cases.
@@ -103,20 +102,15 @@ const (
 	CauseHostPauseStorm
 )
 
-func (k CauseKind) String() string {
-	switch k {
-	case CauseHostInjection:
-		return "host-pfc-injection"
-	case CauseSlowReceiver:
-		return "host-slow-receiver"
-	case CauseHostProcessingBound:
-		return "host-processing-bound"
-	case CauseHostPauseStorm:
-		return "host-pause-storm"
-	default:
-		return "flow-contention"
-	}
+var causeKindNames = [...]string{
+	CauseFlowContention:      "flow-contention",
+	CauseHostInjection:       "host-pfc-injection",
+	CauseSlowReceiver:        "host-slow-receiver",
+	CauseHostProcessingBound: "host-processing-bound",
+	CauseHostPauseStorm:      "host-pause-storm",
 }
+
+func (k CauseKind) String() string { return enumName(causeKindNames[:], int(k)) }
 
 // IsHostSide reports whether the kind blames the host behind the
 // terminal port rather than network flow contention.
@@ -185,16 +179,9 @@ const (
 	ConfHigh
 )
 
-func (c Confidence) String() string {
-	switch c {
-	case ConfHigh:
-		return "high"
-	case ConfMedium:
-		return "medium"
-	default:
-		return "low"
-	}
-}
+var confidenceNames = [...]string{ConfLow: "low", ConfMedium: "medium", ConfHigh: "high"}
+
+func (c Confidence) String() string { return enumName(confidenceNames[:], int(c)) }
 
 // Report is the diagnosis outcome for one victim.
 type Report struct {
@@ -294,10 +281,53 @@ func Diagnose(cfg Config, g *provenance.Graph, t *topo.Topology, victim packet.F
 	return a.rep
 }
 
-// assess grades the evidence behind the classification. Each gap applies
-// a multiplicative penalty so independent degradations compound; the
-// notes name what is missing so an operator knows which telemetry to go
-// fetch before trusting (or re-running) the diagnosis.
+// penalty is one row of the confidence grade. assess multiplies the
+// score by factor when the row's condition holds and appends its note
+// (a fmt format when the row takes arguments; "" appends nothing). A
+// nonzero scale makes the factor factor + scale*frac, where frac is the
+// row's share of the evidence that arrived.
+type penalty struct {
+	name          string
+	factor, scale float64
+	note          string
+}
+
+// The penalty rows, in the order assess checks them.
+const (
+	penSwitchCoverage = iota
+	penEpochDepth
+	penRejectedReports
+	penCorruption
+	penNoVictimTelemetry
+	penVictimNeverPaused
+	penSwitchFacingInjection
+	penIncompleteInjection
+	penUncorroboratedHost
+	penRejectedHostSnapshots
+	penSingleSampleEdge
+	penTwoSampleEdge
+	numPenalties
+)
+
+var penalties = [numPenalties]penalty{
+	penSwitchCoverage:        {"switch-coverage", 0.35, 0.65, "no report from %d of %d victim-path switches"},
+	penEpochDepth:            {"epoch-depth", 0.7, 0.3, "telemetry epochs sparse: %.1f per report on average"},
+	penRejectedReports:       {"rejected-reports", 0.6, 0, "%d telemetry reports rejected at admission; their switches were heard from and disbelieved"},
+	penCorruption:            {"corrupt-telemetry", 0.7, 0, "accepted telemetry carried corruption: %d values clamped, %d records outside the topology"},
+	penNoVictimTelemetry:     {"no-victim-telemetry", 0.6, 0, "no flow telemetry for the victim anywhere"},
+	penVictimNeverPaused:     {"victim-never-paused", 0.75, 0, "victim never recorded paused; walk rooted at live pause registers"},
+	penSwitchFacingInjection: {"switch-facing-injection", 0.55, 0, "PFC attributed to injection at a switch-to-switch port; upstream contention telemetry may be lost"},
+	penIncompleteInjection:   {"epoch-incomplete-injection", 0.7, 0, "an injection conclusion rests on an epoch-incomplete report; the missing epochs may hold the real contention"},
+	penUncorroboratedHost:    {"uncorroborated-host", 0.55, 0, "no host-agent snapshot from the host behind the initial congestion point; host-vs-network attribution is uncorroborated"},
+	penRejectedHostSnapshots: {"rejected-host-snapshots", 0.7, 0, "%d host-agent snapshots rejected at admission"},
+	penSingleSampleEdge:      {"single-sample-edge", 0.75, 0, "a PFC-path edge rests on a single causality-meter sample"},
+	penTwoSampleEdge:         {"two-sample-edge", 0.9, 0, ""},
+}
+
+// assess grades the evidence behind the classification. Each gap fires
+// a row of penalties, so independent degradations compound; the notes
+// name what is missing so an operator knows which telemetry to go fetch
+// before trusting (or re-running) the diagnosis.
 func (a *analyzer) assess() {
 	r := a.rep
 	if len(a.g.Ports) == 0 {
@@ -309,12 +339,21 @@ func (a *analyzer) assess() {
 		return
 	}
 	score := 1.0
+	fire := func(row int, args ...any) {
+		p := &penalties[row]
+		score *= p.factor
+		if len(args) > 0 {
+			r.Missing = append(r.Missing, fmt.Sprintf(p.note, args...))
+		} else if p.note != "" {
+			r.Missing = append(r.Missing, p.note)
+		}
+	}
 	if cov := a.g.Coverage; cov != nil {
 		if cov.Expected > 0 {
-			score *= 0.35 + 0.65*cov.Frac()
+			p := &penalties[penSwitchCoverage]
+			score *= p.factor + p.scale*cov.Frac()
 			if n := len(cov.MissingSwitches); n > 0 {
-				r.Missing = append(r.Missing, fmt.Sprintf(
-					"no report from %d of %d victim-path switches", n, cov.Expected))
+				r.Missing = append(r.Missing, fmt.Sprintf(p.note, n, cov.Expected))
 			}
 		}
 		if cov.Collected > 0 {
@@ -323,10 +362,10 @@ func (a *analyzer) assess() {
 			if frac > 1 {
 				frac = 1
 			}
-			score *= 0.7 + 0.3*frac
+			p := &penalties[penEpochDepth]
+			score *= p.factor + p.scale*frac
 			if avg < 2 {
-				r.Missing = append(r.Missing, fmt.Sprintf(
-					"telemetry epochs sparse: %.1f per report on average", avg))
+				r.Missing = append(r.Missing, fmt.Sprintf(p.note, avg))
 			}
 		}
 		// Rejected and clamped telemetry is worse than missing telemetry:
@@ -336,30 +375,21 @@ func (a *analyzer) assess() {
 		// any detected corruption in accepted evidence caps the grade below
 		// ConfHigh on its own.
 		if cov.Rejected > 0 {
-			n := cov.Rejected
-			if n > 3 {
-				n = 3
+			p := &penalties[penRejectedReports]
+			for i := 0; i < cov.Rejected && i < 3; i++ {
+				score *= p.factor
 			}
-			for i := 0; i < n; i++ {
-				score *= 0.6
-			}
-			r.Missing = append(r.Missing, fmt.Sprintf(
-				"%d telemetry reports rejected at admission; their switches were heard from and disbelieved", cov.Rejected))
+			r.Missing = append(r.Missing, fmt.Sprintf(p.note, cov.Rejected))
 		}
 		if cov.Clamped > 0 || cov.Suspect > 0 {
-			score *= 0.7
-			r.Missing = append(r.Missing, fmt.Sprintf(
-				"accepted telemetry carried corruption: %d values clamped, %d records outside the topology",
-				cov.Clamped, cov.Suspect))
+			fire(penCorruption, cov.Clamped, cov.Suspect)
 		}
 	}
 	if len(r.VictimPausedAt) == 0 {
 		if len(a.g.Flows[r.Victim]) == 0 {
-			score *= 0.6
-			r.Missing = append(r.Missing, "no flow telemetry for the victim anywhere")
+			fire(penNoVictimTelemetry)
 		} else {
-			score *= 0.75
-			r.Missing = append(r.Missing, "victim never recorded paused; walk rooted at live pause registers")
+			fire(penVictimNeverPaused)
 		}
 	}
 	// Host-injection conclusions are negative evidence: the walk found NO
@@ -384,14 +414,10 @@ func (a *analyzer) assess() {
 		}
 	}
 	if switchFacing {
-		score *= 0.55
-		r.Missing = append(r.Missing,
-			"PFC attributed to injection at a switch-to-switch port; upstream contention telemetry may be lost")
+		fire(penSwitchFacingInjection)
 	}
 	if incomplete {
-		score *= 0.7
-		r.Missing = append(r.Missing,
-			"an injection conclusion rests on an epoch-incomplete report; the missing epochs may hold the real contention")
+		fire(penIncompleteInjection)
 	}
 	// Host-agent coverage. When the analyzer queried host agents
 	// (HostsExpected > 0), a root cause anchored at a host-facing port —
@@ -414,14 +440,10 @@ func (a *analyzer) assess() {
 			}
 		}
 		if hostGap {
-			score *= 0.55
-			r.Missing = append(r.Missing,
-				"no host-agent snapshot from the host behind the initial congestion point; host-vs-network attribution is uncorroborated")
+			fire(penUncorroboratedHost)
 		}
 		if cov.HostsRejected > 0 {
-			score *= 0.7
-			r.Missing = append(r.Missing, fmt.Sprintf(
-				"%d host-agent snapshots rejected at admission", cov.HostsRejected))
+			fire(penRejectedHostSnapshots, cov.HostsRejected)
 		}
 	}
 	// The causality chain is only as strong as its weakest wait-for edge.
@@ -436,10 +458,9 @@ func (a *analyzer) assess() {
 	}
 	switch {
 	case minEv >= 0 && minEv <= 1:
-		score *= 0.75
-		r.Missing = append(r.Missing, "a PFC-path edge rests on a single causality-meter sample")
+		fire(penSingleSampleEdge)
 	case minEv == 2:
-		score *= 0.9
+		fire(penTwoSampleEdge)
 	}
 	r.ConfidenceScore = score
 	switch {
@@ -586,130 +607,132 @@ func (a *analyzer) spreaders() []packet.FiveTuple {
 	return out
 }
 
-// classify matches the Table 2 signatures against the walk results.
+// shape is the PFC structure the walk found: Table 2's rows.
+type shape int
+
+const (
+	shapeNoPFC     shape = iota // no port waits on another
+	shapeSpreading              // PFC spreads from the initial congestion point
+	shapeInLoop                 // a wait-for loop, initiated inside it
+	shapeOutOfLoop              // a wait-for loop, initiated by a branch off it
+	numShapes
+)
+
+// column is the kind of initial congestion point: Table 2's columns.
+type column int
+
+const (
+	colContention column = iota // flows overfilling a queue
+	colHostSide                 // a host behind the port
+	colNotFound                 // no initiator the shape's rule accepts
+	numColumns
+)
+
+// table2 is the paper's Table 2, extended with the fallback column.
+var table2 = [numShapes][numColumns]AnomalyType{
+	shapeNoPFC:     {TypeNormalContention, TypeNone, TypeNone},
+	shapeSpreading: {TypePFCContention, TypePFCStorm, TypePFCStorm},
+	shapeInLoop:    {TypeInLoopDeadlock, TypeInLoopDeadlock, TypeInLoopDeadlock},
+	shapeOutOfLoop: {TypeOutLoopDeadlockContention, TypeOutLoopDeadlockInjection, TypeOutLoopDeadlockInjection},
+}
+
+// classify matches the walk results against Table 2: find the shape and
+// the initiator, look up the type, and put the initiator first.
 func (a *analyzer) classify() {
+	s, cause, found := a.initiator()
+	col := colNotFound
+	if found {
+		col = colContention
+		if cause.Kind.IsHostSide() {
+			col = colHostSide
+		}
+	}
+	a.rep.Type = table2[s][col]
+	if found && a.rep.Type != TypeNone {
+		a.promoteCause(cause)
+	}
+}
+
+// initiator finds the walk's shape and, by that shape's rule, the
+// initial congestion point.
+func (a *analyzer) initiator() (shape, RootCause, bool) {
 	r := a.rep
 	switch {
 	case len(r.Loop) > 0:
-		a.classifyDeadlock()
-	case len(r.PFCPaths) > 0 && a.pathBeyondVictim():
-		// PFC spreading exists: contention or storm by terminal analysis.
-		// A host pathology corroborated by the host's own counters outranks
-		// a contention terminal: the counters are direct evidence of an
-		// endpoint defect, while contention weights are inference — and the
-		// differential flow motion a pausing sick host induces upstream can
-		// fabricate small contention pairs at secondary terminals.
-		if cause, ok := a.firstHostPathology(); ok {
-			r.Type = TypePFCStorm
-			a.promoteCause(cause)
-		} else if cause, ok := a.firstCause(CauseFlowContention); ok {
-			r.Type = TypePFCContention
-			a.promoteCause(cause)
-		} else {
-			r.Type = TypePFCStorm
+		inLoop := make(map[topo.PortRef]bool, len(r.Loop))
+		for _, p := range r.Loop {
+			inLoop[p] = true
 		}
-	case len(r.VictimPausedAt) > 0:
-		// Victim paused but no spreading beyond its own hop: the paused
-		// port itself is the initial congestion point.
-		p := r.VictimPausedAt[0]
-		if len(r.Causes) == 0 {
-			r.Causes = append(r.Causes, a.analyzeFlowContention(p))
-		}
-		if r.Causes[0].Kind == CauseFlowContention {
-			r.Type = TypePFCContention
-		} else {
-			r.Type = TypePFCStorm
-		}
-	default:
-		a.classifyNoPFC()
-	}
-}
-
-// pathBeyondVictim reports whether any walk left the victim's own hop.
-func (a *analyzer) pathBeyondVictim() bool {
-	for _, path := range a.rep.PFCPaths {
-		if len(path) > 1 {
-			return true
-		}
-	}
-	return len(a.rep.PFCPaths) > 0
-}
-
-// classifyDeadlock splits in-loop vs out-of-loop by the loop nodes'
-// out-degrees (Table 2) and analyzes the initiator.
-func (a *analyzer) classifyDeadlock() {
-	r := a.rep
-	inLoop := make(map[topo.PortRef]bool, len(r.Loop))
-	for _, p := range r.Loop {
-		inLoop[p] = true
-	}
-	// A loop node with edges leaving the loop marks an out-of-loop
-	// initiator reachable along that branch.
-	outOfLoop := false
-	for _, p := range r.Loop {
-		for _, q := range a.g.PortNeighbors(p) {
-			if !inLoop[q] {
-				outOfLoop = true
-			}
-		}
-	}
-	if outOfLoop {
-		// The DFS already followed those branches; its terminals are in
-		// r.Causes. Prefer a terminal outside the loop.
-		for _, c := range r.Causes {
-			if !inLoop[c.Port] {
-				a.promoteCause(c)
-				if c.Kind.IsHostSide() {
-					r.Type = TypeOutLoopDeadlockInjection
-				} else {
-					r.Type = TypeOutLoopDeadlockContention
+		// A loop node with edges leaving the loop marks an out-of-loop
+		// initiator reachable along that branch.
+		outOfLoop := false
+		for _, p := range r.Loop {
+			for _, q := range a.g.PortNeighbors(p) {
+				if !inLoop[q] {
+					outOfLoop = true
 				}
-				return
 			}
 		}
-		// Fallback: branch existed but was not collected; treat as
-		// injection from outside the collected region.
-		r.Type = TypeOutLoopDeadlockInjection
-		return
-	}
-	// Initiator inside the loop: the loop port with the strongest flow
-	// contention is the initial congestion point.
-	r.Type = TypeInLoopDeadlock
-	best := r.Loop[0]
-	bestW := 0.0
-	for _, p := range r.Loop {
-		if w := a.g.MaxPortFlowWeight(p); w > bestW {
-			bestW, best = w, p
+		if outOfLoop {
+			// The DFS already followed those branches; its terminals are
+			// in r.Causes. None outside the loop means the branch was not
+			// collected.
+			for _, c := range r.Causes {
+				if !inLoop[c.Port] {
+					return shapeOutOfLoop, c, true
+				}
+			}
+			return shapeOutOfLoop, RootCause{}, false
 		}
+		// The loop port with the strongest flow contention is the initial
+		// congestion point. Even when the initiating contention has aged
+		// out of the flow telemetry, the cause stays anchored inside the
+		// loop rather than at some unrelated walk terminal.
+		best, _ := a.heaviest(r.Loop[0], r.Loop)
+		return shapeInLoop, a.analyzeFlowContention(best), true
+	case len(r.PFCPaths) == 0 && len(r.VictimPausedAt) > 0:
+		// Victim paused but every walk ended on a self-edge, not at a
+		// terminal: the paused port itself is the initial congestion point.
+		r.Causes = append(r.Causes, a.analyzeFlowContention(r.VictimPausedAt[0]))
+		fallthrough
+	case len(r.PFCPaths) > 0:
+		// A host pathology corroborated by the host's own counters
+		// outranks a contention terminal: the counters are direct evidence
+		// of an endpoint defect, while contention weights are inference —
+		// and the differential flow motion a pausing sick host induces
+		// upstream can fabricate small contention pairs at secondary
+		// terminals. A generic injection is no initiator.
+		for _, c := range r.Causes {
+			if c.Kind.IsHostSide() && c.Kind != CauseHostInjection {
+				return shapeSpreading, c, true
+			}
+		}
+		for _, c := range r.Causes {
+			if c.Kind == CauseFlowContention {
+				return shapeSpreading, c, true
+			}
+		}
+		return shapeSpreading, RootCause{}, false
+	default:
+		// The traditional case: contention on the victim's path.
+		best, w := a.heaviest(topo.PortRef{}, a.g.FlowPathPorts(r.Victim))
+		if w < a.cfg.MinContribution {
+			return shapeNoPFC, RootCause{}, false
+		}
+		return shapeNoPFC, a.analyzeFlowContention(best), true
 	}
-	// Even when the initiating contention has aged out of the flow
-	// telemetry, the cause stays anchored inside the loop rather than at
-	// some unrelated walk terminal.
-	a.promoteCause(a.analyzeFlowContention(best))
 }
 
-// classifyNoPFC handles the degenerate traditional case: no port-level
-// edges at all; contention on the victim path (Table 2 last row).
-func (a *analyzer) classifyNoPFC() {
-	r := a.rep
-	var best topo.PortRef
-	bestW := 0.0
-	for _, p := range a.g.FlowPathPorts(r.Victim) {
+// heaviest returns the port of ports with the largest positive flow
+// weight and that weight, or def and 0 when no port carries any.
+func (a *analyzer) heaviest(def topo.PortRef, ports []topo.PortRef) (topo.PortRef, float64) {
+	best, bestW := def, 0.0
+	for _, p := range ports {
 		if w := a.g.MaxPortFlowWeight(p); w > bestW {
-			bestW, best = w, p
+			best, bestW = p, w
 		}
 	}
-	if bestW < a.cfg.MinContribution {
-		r.Type = TypeNone
-		return
-	}
-	cause := a.analyzeFlowContention(best)
-	if cause.Kind != CauseFlowContention {
-		r.Type = TypeNone
-		return
-	}
-	r.Type = TypeNormalContention
-	r.Causes = []RootCause{cause}
+	return best, bestW
 }
 
 // hostPauser reports whether the port faces a host whose counter
@@ -731,28 +754,6 @@ func (a *analyzer) hostPauser(p topo.PortRef) bool {
 	peer, _ := a.t.PeerOf(p.Node, p.Port)
 	h := a.g.Hosts[peer]
 	return h != nil && h.Report.PauseTx > 0
-}
-
-// firstHostPathology returns the first cause whose kind was refined past
-// the generic injection verdict by host-agent counters — a pathology the
-// host itself corroborates, as opposed to one inferred from the fabric.
-func (a *analyzer) firstHostPathology() (RootCause, bool) {
-	for _, c := range a.rep.Causes {
-		if c.Kind.IsHostSide() && c.Kind != CauseHostInjection {
-			return c, true
-		}
-	}
-	return RootCause{}, false
-}
-
-// firstCause returns the first recorded cause of the given kind.
-func (a *analyzer) firstCause(kind CauseKind) (RootCause, bool) {
-	for _, c := range a.rep.Causes {
-		if c.Kind == kind {
-			return c, true
-		}
-	}
-	return RootCause{}, false
 }
 
 // promoteCause moves (or inserts) the cause to the front of the list.

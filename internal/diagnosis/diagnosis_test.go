@@ -318,13 +318,29 @@ func TestDeadlockFallbackRootsWhenVictimFrozen(t *testing.T) {
 
 func TestReportStringAndTypeStrings(t *testing.T) {
 	for ty := TypeNone; ty <= TypeOutLoopDeadlockInjection; ty++ {
-		if strings.Contains(ty.String(), "AnomalyType") {
-			t.Fatalf("missing String for %d", int(ty))
+		if got, ok := ParseAnomalyType(ty.String()); !ok || got != ty {
+			t.Fatalf("ParseAnomalyType(%q) = %v, %v; want %d", ty.String(), got, ok, int(ty))
 		}
 	}
-	_ = AnomalyType(99).String()
-	_ = CauseFlowContention.String()
-	_ = CauseHostInjection.String()
+	if _, ok := ParseAnomalyType("AnomalyType(99)"); ok {
+		t.Fatal("ParseAnomalyType accepted an out-of-range name")
+	}
+	// Out-of-range values (a kind decoded from a newer peer) print as
+	// they always have.
+	for _, c := range []struct{ got, want string }{
+		{AnomalyType(99).String(), "AnomalyType(99)"},
+		{AnomalyType(-1).String(), "AnomalyType(-1)"},
+		{CauseKind(99).String(), "flow-contention"},
+		{CauseKind(-1).String(), "flow-contention"},
+		{Confidence(99).String(), "low"},
+		{Confidence(-1).String(), "low"},
+		{CauseDetail(99).String(), "unknown"},
+		{CauseDetail(-1).String(), "unknown"},
+	} {
+		if c.got != c.want {
+			t.Errorf("out-of-range String = %q, want %q", c.got, c.want)
+		}
+	}
 	tp := testTopo(t)
 	g := emptyGraph()
 	victim := flowT(1)

@@ -26,17 +26,14 @@ const (
 	DetailOverload
 )
 
-func (d CauseDetail) String() string {
-	switch d {
-	case DetailMicroBurst:
-		return "micro-burst"
-	case DetailECMPImbalance:
-		return "ecmp-imbalance"
-	case DetailOverload:
-		return "overload"
-	}
-	return "unknown"
+var causeDetailNames = [...]string{
+	DetailUnknown:       "unknown",
+	DetailMicroBurst:    "micro-burst",
+	DetailECMPImbalance: "ecmp-imbalance",
+	DetailOverload:      "overload",
 }
+
+func (d CauseDetail) String() string { return enumName(causeDetailNames[:], int(d)) }
 
 // Refine classifies a flow-contention cause. Routing is consulted to
 // decide whether the contributors had equal-cost alternatives at the
