@@ -259,9 +259,10 @@ func (fd *Frontdoor) QueryRollups(q wire.RollupQuery) (*wire.RollupResult, []Sha
 	if q.Windows > 0 && len(out.Windows) > q.Windows {
 		out.Windows = out.Windows[len(out.Windows)-q.Windows:]
 	}
-	// Sliding views merge only when every answering shard produced one
-	// over the same span; otherwise the merged result omits it rather
-	// than blending mismatched ranges.
+	// Sliding views merge when the shards that produced one agree on
+	// its span (a shard with no panes produces none and contributes
+	// nothing); spans that differ omit the merged view rather than
+	// blend mismatched ranges.
 	if len(slidings) > 0 && slidingSpansAgree(slidings) {
 		merged, err := mergeWireWindows(slidings, wantSketches)
 		if err == nil {

@@ -10,9 +10,10 @@ import (
 )
 
 // Two shards answering a fleet-wide query: incidents merge in
-// first-seen order, rollup windows merge to exactly what one
-// summarizer observing every record would have said, and the sketch
-// payloads stay opt-in.
+// first-seen order, rollup windows and the sliding view merge to
+// exactly what one summarizer observing every record would have said,
+// and the sketch payloads stay opt-in. Once one shard's sliding span
+// differs, the merged view is omitted rather than blended.
 func TestFrontdoorMergeMatchesReference(t *testing.T) {
 	dir := t.TempDir()
 	a := testShard(t, filepath.Join(dir, "a"), "shard-a")
@@ -22,8 +23,9 @@ func TestFrontdoorMergeMatchesReference(t *testing.T) {
 
 	reference := rollup.New(killLoopRollupCfg())
 	// Interleave fabrics across both shards over a shared time range so
-	// every rollup pane has contributions from both.
-	for i := 0; i < 40; i++ {
+	// every rollup pane has contributions from both: 58 records 50us
+	// apart fill panes 0-2 (1ms each) on each shard.
+	for i := 0; i < 58; i++ {
 		rec := testRec("fabA", i)
 		if i%2 == 1 {
 			rec.Fabric = "fabB"
@@ -59,12 +61,20 @@ func TestFrontdoorMergeMatchesReference(t *testing.T) {
 		}
 	}
 
-	res, shardErrs, err := fd.QueryRollups(wire.RollupQuery{})
+	const sliding = 2
+	res, shardErrs, err := fd.QueryRollups(wire.RollupQuery{Sliding: sliding})
 	if err != nil || len(shardErrs) != 0 {
 		t.Fatalf("rollups: err=%v shardErrs=%v", err, shardErrs)
 	}
-	if err := compareRollups(res.Windows, reference.Query(rollup.QueryOpts{}).Panes); err != nil {
+	ref := reference.Query(rollup.QueryOpts{Sliding: sliding})
+	if err := compareRollups(res.Windows, ref.Panes); err != nil {
 		t.Fatal(err)
+	}
+	if res.Sliding == nil {
+		t.Fatal("shards agreeing on the sliding span returned no merged view")
+	}
+	if err := compareRollups([]wire.RollupSummary{*res.Sliding}, []rollup.Summary{*ref.Sliding}); err != nil {
+		t.Fatalf("sliding: %v", err)
 	}
 	for _, w := range res.Windows {
 		if w.Sketches != nil {
@@ -79,6 +89,17 @@ func TestFrontdoorMergeMatchesReference(t *testing.T) {
 		if len(w.Sketches) == 0 {
 			t.Fatal("IncludeSketches returned a window without sketch state")
 		}
+	}
+
+	// Shard b alone reaches pane 3: its last two panes are 2-3, shard
+	// a's are 1-2.
+	b.Fleet().Add(testRec("fabB", 69))
+	res, _, err = fd.QueryRollups(wire.RollupQuery{Sliding: sliding})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sliding != nil {
+		t.Fatalf("sliding views over different spans merged into %d..%d", res.Sliding.StartNS, res.Sliding.EndNS)
 	}
 }
 
