@@ -31,8 +31,11 @@ check: build vet fmt no-poll race sync-stress
 build:
 	$(GO) build ./...
 
+# vet also checks the arm64 build: the code must compile and vet clean
+# on an architecture this box does not run.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # fmt fails on any file gofmt would rewrite, and names it.
 fmt:

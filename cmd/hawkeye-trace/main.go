@@ -73,7 +73,7 @@ func main() {
 		tp = ft.Topology
 	}
 	r := topo.ComputeRouting(tp)
-	cl := cluster.New(tp, r, cluster.DefaultConfig(tp))
+	cl := cluster.New(tp, r, cluster.DefaultConfig())
 
 	var tap *pcap.Tap
 	var pcapWriter *pcap.Writer

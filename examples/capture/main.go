@@ -50,7 +50,7 @@ func run(w io.Writer, path string) error {
 		return err
 	}
 	routing := topo.ComputeRouting(ft.Topology)
-	ccfg := cluster.DefaultConfig(ft.Topology)
+	ccfg := cluster.DefaultConfig()
 	ccfg.Host.Agent.RTTFactor = 2
 	cl := cluster.New(ft.Topology, routing, ccfg)
 
@@ -74,7 +74,7 @@ func run(w io.Writer, path string) error {
 	tap := pcap.AttachTap(cl.Net, pw)
 
 	// The anomaly: a rogue host injects PFC (Fig. 1b).
-	params := workload.DefaultParams(score.Telemetry.EpochSize())
+	params := workload.Params{EpochSize: score.Telemetry.EpochSize()}
 	gt := workload.BuildStorm(cl, ft, params)
 	cl.Run(gt.AnomalyAt + 10*sim.Millisecond)
 	if tap.Err != nil {

@@ -30,7 +30,7 @@ func run(w io.Writer) error {
 		return err
 	}
 	routing := topo.ComputeRouting(ft.Topology)
-	cl := cluster.New(ft.Topology, routing, cluster.DefaultConfig(ft.Topology))
+	cl := cluster.New(ft.Topology, routing, cluster.DefaultConfig())
 
 	// 2. Install Hawkeye: PFC-aware telemetry and polling logic on every
 	//    switch, detection agents on every host.

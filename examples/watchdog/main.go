@@ -31,7 +31,7 @@ func ring(w io.Writer, withWatchdog bool) error {
 	}
 	r := topo.ComputeRouting(ring.Topology)
 	ring.ForceClockwise(r, nil)
-	cl := cluster.New(ring.Topology, r, cluster.DefaultConfig(ring.Topology))
+	cl := cluster.New(ring.Topology, r, cluster.DefaultConfig())
 
 	var dogs []*pfcwd.Watchdog
 	if withWatchdog {

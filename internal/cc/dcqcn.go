@@ -7,38 +7,26 @@ package cc
 
 import "hawkeye/internal/sim"
 
-// Config holds the DCQCN reaction-point parameters.
-type Config struct {
-	LineRate float64  // bps; flows start at line rate (§2.2)
-	MinRate  float64  // bps floor
-	Rai      float64  // additive increase step, bps
-	Rhai     float64  // hyper increase step, bps
-	G        float64  // alpha EWMA gain
-	AlphaT   sim.Time // alpha update timer
-	RateT    sim.Time // rate increase timer
-	F        int      // fast-recovery stages before additive increase
-}
-
-// DefaultConfig mirrors common 100 Gbps DCQCN deployments.
-func DefaultConfig(lineRate float64) Config {
-	return Config{
-		LineRate: lineRate,
-		MinRate:  100e6,
-		Rai:      400e6,
-		Rhai:     4e9,
-		G:        1.0 / 16.0,
-		AlphaT:   55 * sim.Microsecond,
-		RateT:    55 * sim.Microsecond,
-		F:        5,
-	}
-}
+// DCQCN reaction-point parameters (the paper's symbols in brackets),
+// from Zhu et al., "Congestion Control for Large-Scale RDMA
+// Deployments" (SIGCOMM '15), as common 100 Gbps deployments set them.
+// Only the line rate varies, per flow.
+const (
+	minRate      float64  = 100e6                // bps floor
+	rai          float64  = 400e6                // additive increase step [R_AI], bps
+	rhai         float64  = 4e9                  // hyper increase step [R_HAI], bps
+	alphaGain    float64  = 1.0 / 16.0           // alpha EWMA gain [g]
+	AlphaT       sim.Time = 55 * sim.Microsecond // alpha update timer [K]
+	RateT        sim.Time = 55 * sim.Microsecond // rate increase timer [T]
+	fastRecovery int      = 5                    // fast-recovery stages before additive increase [F]
+)
 
 // State is the per-flow reaction point. The owner (host NIC) drives the
 // two timers by calling OnAlphaTimer/OnRateTimer at the configured
 // periods while the flow is active, and OnCNP whenever a congestion
 // notification arrives.
 type State struct {
-	cfg Config
+	lineRate float64 // bps; flows start at line rate (§2.2)
 
 	rc    float64 // current rate
 	rt    float64 // target rate
@@ -49,9 +37,10 @@ type State struct {
 	cnpSinceLast bool // CNP seen since the last alpha timer tick
 }
 
-// NewState returns a flow starting at line rate, per RDMA NIC behaviour.
-func NewState(cfg Config) *State {
-	return &State{cfg: cfg, rc: cfg.LineRate, rt: cfg.LineRate, alpha: 1}
+// NewState returns a flow starting at lineRate (bps), per RDMA NIC
+// behaviour.
+func NewState(lineRate float64) *State {
+	return &State{lineRate: lineRate, rc: lineRate, rt: lineRate, alpha: 1}
 }
 
 // Rate returns the current sending rate in bps.
@@ -67,10 +56,10 @@ func (s *State) Alpha() float64 { return s.alpha }
 func (s *State) OnCNP() {
 	s.rt = s.rc
 	s.rc *= 1 - s.alpha/2
-	if s.rc < s.cfg.MinRate {
-		s.rc = s.cfg.MinRate
+	if s.rc < minRate {
+		s.rc = minRate
 	}
-	s.alpha = (1-s.cfg.G)*s.alpha + s.cfg.G
+	s.alpha = (1-alphaGain)*s.alpha + alphaGain
 	s.stage = 0
 	s.cnpSinceLast = true
 }
@@ -81,26 +70,26 @@ func (s *State) OnAlphaTimer() {
 		s.cnpSinceLast = false
 		return
 	}
-	s.alpha *= 1 - s.cfg.G
+	s.alpha *= 1 - alphaGain
 }
 
-// OnRateTimer runs one increase iteration: F stages of fast recovery
+// OnRateTimer runs one increase iteration: fastRecovery stages of fast recovery
 // toward the target, then additive increase, then hyper increase.
 func (s *State) OnRateTimer() {
 	s.stage++
 	switch {
-	case s.stage <= s.cfg.F:
+	case s.stage <= fastRecovery:
 		// fast recovery: close half the gap to the target
-	case s.stage <= 2*s.cfg.F:
-		s.rt += s.cfg.Rai
+	case s.stage <= 2*fastRecovery:
+		s.rt += rai
 	default:
-		s.rt += s.cfg.Rhai
+		s.rt += rhai
 	}
-	if s.rt > s.cfg.LineRate {
-		s.rt = s.cfg.LineRate
+	if s.rt > s.lineRate {
+		s.rt = s.lineRate
 	}
 	s.rc = (s.rt + s.rc) / 2
-	if s.rc > s.cfg.LineRate {
-		s.rc = s.cfg.LineRate
+	if s.rc > s.lineRate {
+		s.rc = s.lineRate
 	}
 }

@@ -5,17 +5,17 @@ import (
 	"testing/quick"
 )
 
-func testCfg() Config { return DefaultConfig(100e9) }
+const lineRate = 100e9
 
 func TestStartsAtLineRate(t *testing.T) {
-	s := NewState(testCfg())
+	s := NewState(lineRate)
 	if s.Rate() != 100e9 {
 		t.Fatalf("initial rate %v, want line rate", s.Rate())
 	}
 }
 
 func TestCNPCutsRate(t *testing.T) {
-	s := NewState(testCfg())
+	s := NewState(lineRate)
 	before := s.Rate()
 	s.OnCNP()
 	if s.Rate() >= before {
@@ -31,21 +31,21 @@ func TestCNPCutsRate(t *testing.T) {
 }
 
 func TestRepeatedCNPsRespectFloor(t *testing.T) {
-	s := NewState(testCfg())
+	s := NewState(lineRate)
 	for i := 0; i < 200; i++ {
 		s.OnCNP()
 	}
-	if s.Rate() < testCfg().MinRate {
-		t.Fatalf("rate %v below floor %v", s.Rate(), testCfg().MinRate)
+	if s.Rate() < minRate {
+		t.Fatalf("rate %v below floor %v", s.Rate(), minRate)
 	}
 }
 
 func TestFastRecoveryApproachesTarget(t *testing.T) {
-	s := NewState(testCfg())
+	s := NewState(lineRate)
 	s.OnCNP()
 	target := s.TargetRate()
 	prevGap := target - s.Rate()
-	for i := 0; i < testCfg().F; i++ {
+	for i := 0; i < fastRecovery; i++ {
 		s.OnRateTimer()
 		gap := target - s.Rate()
 		if gap < 0 || gap > prevGap {
@@ -60,43 +60,41 @@ func TestFastRecoveryApproachesTarget(t *testing.T) {
 }
 
 func TestAdditiveThenHyperIncrease(t *testing.T) {
-	cfg := testCfg()
-	s := NewState(cfg)
+	s := NewState(lineRate)
 	s.OnCNP()
 	s.OnCNP()
 	// Burn through fast recovery.
-	for i := 0; i < cfg.F; i++ {
+	for i := 0; i < fastRecovery; i++ {
 		s.OnRateTimer()
 	}
 	t1 := s.TargetRate()
 	s.OnRateTimer()
-	if s.TargetRate() != t1+cfg.Rai {
-		t.Fatalf("additive increase moved target by %v, want %v", s.TargetRate()-t1, cfg.Rai)
+	if s.TargetRate() != t1+rai {
+		t.Fatalf("additive increase moved target by %v, want %v", s.TargetRate()-t1, rai)
 	}
-	for i := 0; i < cfg.F; i++ {
+	for i := 0; i < fastRecovery; i++ {
 		s.OnRateTimer()
 	}
 	t2 := s.TargetRate()
 	s.OnRateTimer()
-	if got := s.TargetRate() - t2; got != cfg.Rhai {
-		t.Fatalf("hyper increase moved target by %v, want %v", got, cfg.Rhai)
+	if got := s.TargetRate() - t2; got != rhai {
+		t.Fatalf("hyper increase moved target by %v, want %v", got, rhai)
 	}
 }
 
 func TestRateNeverExceedsLine(t *testing.T) {
-	cfg := testCfg()
-	s := NewState(cfg)
+	s := NewState(lineRate)
 	s.OnCNP()
 	for i := 0; i < 10000; i++ {
 		s.OnRateTimer()
-		if s.Rate() > cfg.LineRate || s.TargetRate() > cfg.LineRate {
+		if s.Rate() > lineRate || s.TargetRate() > lineRate {
 			t.Fatalf("rate/target exceeded line rate at step %d: %v/%v", i, s.Rate(), s.TargetRate())
 		}
 	}
 }
 
 func TestAlphaDecaysWithoutCNP(t *testing.T) {
-	s := NewState(testCfg())
+	s := NewState(lineRate)
 	s.OnCNP()
 	a0 := s.Alpha()
 	s.OnAlphaTimer() // CNP arrived this period: no decay
@@ -111,7 +109,7 @@ func TestAlphaDecaysWithoutCNP(t *testing.T) {
 
 func TestLaterCutsAreGentler(t *testing.T) {
 	// After alpha decays, a CNP cuts less than half.
-	s := NewState(testCfg())
+	s := NewState(lineRate)
 	s.OnCNP()
 	for i := 0; i < 50; i++ {
 		s.OnAlphaTimer()
@@ -125,14 +123,14 @@ func TestLaterCutsAreGentler(t *testing.T) {
 
 func TestRateAlwaysPositiveProperty(t *testing.T) {
 	f := func(ops []bool) bool {
-		s := NewState(testCfg())
+		s := NewState(lineRate)
 		for _, cut := range ops {
 			if cut {
 				s.OnCNP()
 			} else {
 				s.OnRateTimer()
 			}
-			if s.Rate() <= 0 || s.Rate() > testCfg().LineRate {
+			if s.Rate() <= 0 || s.Rate() > lineRate {
 				return false
 			}
 		}

@@ -189,7 +189,7 @@ func TestInstallSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := topo.ComputeRouting(d.Topology)
-	cl := cluster.New(d.Topology, r, cluster.DefaultConfig(d.Topology))
+	cl := cluster.New(d.Topology, r, cluster.DefaultConfig())
 	cfg := core.DefaultConfig()
 	cfg.Collect.BaseLatency = 200 * sim.Microsecond
 	cfg.Collect.PerEpochLatency = 50 * sim.Microsecond
@@ -248,7 +248,7 @@ func TestInstallRejectsInvalidSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := topo.ComputeRouting(d.Topology)
-	cl := cluster.New(d.Topology, r, cluster.DefaultConfig(d.Topology))
+	cl := cluster.New(d.Topology, r, cluster.DefaultConfig())
 	sys, err := core.Install(cl, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hawkeye/internal/sim"
 )
@@ -21,12 +20,6 @@ type FlakyConfig struct {
 	// after the first N (0 disables). A value of 3 kills connections
 	// 3, 6, 9, ... of the post-ResetFirst stream.
 	ResetEveryNth int
-	// ResetAfterBytes aborts a surviving connection once this many bytes
-	// have been forwarded client-to-server (mid-session reset; 0 never).
-	ResetAfterBytes int64
-	// ReadDelay stalls each client-to-server read by this much
-	// (slow-read fault; 0 disables).
-	ReadDelay time.Duration
 	// CorruptEveryNth flips one bit in every Nth client-to-server chunk
 	// the proxy forwards (0 disables). The flipped byte/bit positions
 	// come from Seed, so a corrupted run replays exactly. This is the
@@ -42,9 +35,9 @@ type FlakyConfig struct {
 
 // FlakyProxy is a TCP proxy that forwards connections to a backend
 // address while injecting transport faults per FlakyConfig: connection
-// resets at accept, mid-session resets after a byte budget, and slow
-// reads. It exists to exercise the analyzd client's retry/backoff path
-// against a real server without patching either side.
+// resets at accept and bit flips in forwarded client bytes. It exists
+// to exercise the analyzd client's retry/backoff path against a real
+// server without patching either side.
 type FlakyProxy struct {
 	Cfg FlakyConfig
 
@@ -180,26 +173,15 @@ func (p *FlakyProxy) serve(client net.Conn) {
 	defer p.untrack(server)
 
 	done := make(chan struct{}, 2)
-	// Client -> server carries the fault budget and the slow reads.
+	// Client -> server carries the corruption channel.
 	go func() {
 		defer func() { done <- struct{}{} }()
-		var forwarded int64
 		buf := make([]byte, 16*1024)
 		for {
-			if p.Cfg.ReadDelay > 0 {
-				time.Sleep(p.Cfg.ReadDelay)
-			}
 			n, err := client.Read(buf)
 			if n > 0 {
-				forwarded += int64(n)
 				p.maybeCorrupt(buf[:n])
 				if _, werr := server.Write(buf[:n]); werr != nil {
-					return
-				}
-				if p.Cfg.ResetAfterBytes > 0 && forwarded >= p.Cfg.ResetAfterBytes {
-					p.resets.Add(1)
-					abortConn(client)
-					abortConn(server)
 					return
 				}
 			}

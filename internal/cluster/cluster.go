@@ -8,6 +8,7 @@ import (
 	"hawkeye/internal/device"
 	"hawkeye/internal/fabric"
 	"hawkeye/internal/host"
+	"hawkeye/internal/packet"
 	"hawkeye/internal/sim"
 	"hawkeye/internal/topo"
 )
@@ -19,12 +20,11 @@ type Config struct {
 	Seed   uint64
 }
 
-// DefaultConfig returns the evaluation defaults for the topology's line
-// rate.
-func DefaultConfig(t *topo.Topology) Config {
+// DefaultConfig returns the evaluation defaults.
+func DefaultConfig() Config {
 	return Config{
 		Switch: device.DefaultConfig(),
-		Host:   host.DefaultConfig(t.LinkBandwidth),
+		Host:   host.DefaultConfig(),
 		Seed:   1,
 	}
 }
@@ -85,7 +85,7 @@ func (c *Cluster) BaseRTT(src, dst topo.NodeID) sim.Time {
 		return 0
 	}
 	hops := sim.Time(len(path) - 1)
-	mtuTx := c.Topo.TransmitTime(c.Cfg.Host.MTU + 78)
+	mtuTx := c.Topo.TransmitTime(packet.DefaultMTU + packet.DataHeaderLen)
 	ackTx := c.Topo.TransmitTime(84)
 	return hops * (2*c.Topo.LinkDelay + mtuTx + ackTx)
 }

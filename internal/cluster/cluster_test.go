@@ -18,7 +18,7 @@ func chainCluster(t *testing.T, n, hostsPer int) (*Cluster, *topo.Dumbbell) {
 		t.Fatal(err)
 	}
 	r := topo.ComputeRouting(d.Topology)
-	return New(d.Topology, r, DefaultConfig(d.Topology)), d
+	return New(d.Topology, r, DefaultConfig()), d
 }
 
 func TestSingleFlowCompletes(t *testing.T) {
@@ -163,7 +163,7 @@ func TestRingDeadlockForms(t *testing.T) {
 	}
 	r := topo.ComputeRouting(ring.Topology)
 	ring.ForceClockwise(r, nil)
-	cfg := DefaultConfig(ring.Topology)
+	cfg := DefaultConfig()
 	c := New(ring.Topology, r, cfg)
 	// Each switch's hosts send two hops clockwise; every ring link is a
 	// transit link for two source switches, so queues build everywhere.
@@ -287,7 +287,7 @@ func TestLosslessDeliveryProperty(t *testing.T) {
 			return false
 		}
 		r := topo.ComputeRouting(d.Topology)
-		cfg := DefaultConfig(d.Topology)
+		cfg := DefaultConfig()
 		cfg.Seed = seed | 1
 		c := New(d.Topology, r, cfg)
 		rng := sim.NewRand(seed | 1)

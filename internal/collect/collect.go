@@ -17,36 +17,36 @@ import (
 	"hawkeye/internal/topo"
 )
 
+const (
+	// epochsToCollect bounds how many recent epochs each report carries.
+	epochsToCollect int = 4
+	// Interval dedups collection per switch: a switch that reported
+	// within the interval is not re-polled (multiple victims, §3.4). It
+	// must stay well inside the telemetry ring span (NumEpochs * epoch);
+	// a deduped collection is reused by nearby diagnoses and must still
+	// cover their anomaly epochs.
+	Interval sim.Time = 250 * sim.Microsecond
+	// phvExportBytes models the alternative data-plane export: limited
+	// PHV space forces ~200-byte payloads per generated packet (§3.4).
+	phvExportBytes int = 200
+)
+
 // Config controls the collector.
 type Config struct {
-	// EpochsToCollect bounds how many recent epochs each report carries.
-	EpochsToCollect int
-	// Interval dedups collection per switch: a switch that reported
-	// within the interval is not re-polled (multiple victims, §3.4).
-	Interval sim.Time
 	// BaseLatency + PerEpochLatency model the CPU register sync + report
 	// assembly time.
 	BaseLatency     sim.Time
 	PerEpochLatency sim.Time
 	// ReportMTU is the batching unit for report packets.
 	ReportMTU int
-	// PHVExportBytes models the alternative data-plane export: limited
-	// PHV space forces ~200-byte payloads per generated packet (§3.4).
-	PHVExportBytes int
 }
 
 // DefaultConfig matches the paper's measured poller behaviour.
 func DefaultConfig() Config {
 	return Config{
-		EpochsToCollect: 4,
-		// The interval must stay well inside the telemetry ring span
-		// (NumEpochs * epoch); a deduped collection is reused by nearby
-		// diagnoses and must still cover their anomaly epochs.
-		Interval:        250 * sim.Microsecond,
 		BaseLatency:     40 * sim.Millisecond,
 		PerEpochLatency: 20 * sim.Millisecond,
 		ReportMTU:       1500,
-		PHVExportBytes:  200,
 	}
 }
 
@@ -133,7 +133,7 @@ func (c *Collector) Stats() Stats { return c.stats }
 // MirrorPolling implements polling.Mirror: the collection trigger.
 func (c *Collector) MirrorPolling(sw topo.NodeID, tel *telemetry.State, hdr packet.PollingHeader, inPort int) {
 	now := c.Eng.Now()
-	if last, ok := c.lastCollect[sw]; ok && now-last < c.Cfg.Interval {
+	if last, ok := c.lastCollect[sw]; ok && now-last < Interval {
 		// Within the dedup interval: attach this diagnosis to the
 		// in-flight (or just-delivered) collection instead of re-reading.
 		c.stats.DedupHits++
@@ -145,7 +145,7 @@ func (c *Collector) MirrorPolling(sw topo.NodeID, tel *telemetry.State, hdr pack
 	c.lastCollect[sw] = now
 
 	// Registers are captured at sync start.
-	rep := tel.Snapshot(c.Cfg.EpochsToCollect)
+	rep := tel.Snapshot(epochsToCollect)
 	bytes := rep.WireSize()
 	pkts := (bytes + c.Cfg.ReportMTU - 1) / c.Cfg.ReportMTU
 
@@ -154,7 +154,7 @@ func (c *Collector) MirrorPolling(sw topo.NodeID, tel *telemetry.State, hdr pack
 	c.stats.ReportPackets += uint64(pkts)
 	full := rep.FullDumpSize()
 	c.stats.FullDumpBytes += uint64(full)
-	c.stats.FullDumpPackets += uint64((full + c.Cfg.PHVExportBytes - 1) / c.Cfg.PHVExportBytes)
+	c.stats.FullDumpPackets += uint64((full + phvExportBytes - 1) / phvExportBytes)
 	c.stats.FlowRecords += uint64(rep.FlowCount())
 	c.stats.SwitchesTouched[sw] = true
 

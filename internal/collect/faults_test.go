@@ -163,7 +163,7 @@ func TestDroppedDeliveryStillDedups(t *testing.T) {
 	delivered := 0
 	c.OnDelivery = func(Delivery) { delivered++ }
 	c.MirrorPolling(1, tel, hdr(1), 0)
-	eng.After(cfg.Interval/2, func() { c.MirrorPolling(1, tel, hdr(2), 0) })
+	eng.After(Interval/2, func() { c.MirrorPolling(1, tel, hdr(2), 0) })
 	eng.RunAll()
 
 	st := c.Stats()
@@ -175,7 +175,7 @@ func TestDroppedDeliveryStillDedups(t *testing.T) {
 	}
 	// Outside the interval the switch re-collects and the analyzer
 	// finally hears about it.
-	eng.After(cfg.Interval+sim.Microsecond, func() { c.MirrorPolling(1, tel, hdr(3), 0) })
+	eng.After(Interval+sim.Microsecond, func() { c.MirrorPolling(1, tel, hdr(3), 0) })
 	eng.RunAll()
 	if delivered != 1 || c.Stats().Collections != 2 {
 		t.Fatalf("recovery collection missing: delivered=%d %+v", delivered, c.Stats())

@@ -26,7 +26,7 @@ func stormSystem(t *testing.T) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccfg := cluster.DefaultConfig(ft.Topology)
+	ccfg := cluster.DefaultConfig()
 	ccfg.Seed = 1000
 	ccfg.Host.Agent.RTTFactor = 2 // the reproduction's trigger threshold
 	cl := cluster.New(ft.Topology, topo.ComputeRouting(ft.Topology), ccfg)
@@ -34,7 +34,7 @@ func stormSystem(t *testing.T) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt := workload.BuildStorm(cl, ft, workload.DefaultParams(sys.Cfg.Telemetry.EpochSize()))
+	gt := workload.BuildStorm(cl, ft, workload.Params{EpochSize: sys.Cfg.Telemetry.EpochSize()})
 	bg := &workload.Background{Load: 0.03, CDF: workload.PaperCDF(workload.DefaultScaleDivisor), Stop: gt.AnomalyAt + 8*sim.Millisecond}
 	bg.Install(cl, sim.NewRand(1000^0xBEEF))
 	cl.Run(gt.AnomalyAt + 15*sim.Millisecond)

@@ -33,9 +33,6 @@ type Config struct {
 	// the provenance graph.
 	BurstRateFrac  float64
 	BurstMaxEpochs int
-	// CorrelationWindow bounds how long after a trigger a telemetry
-	// collection still belongs to that diagnosis session.
-	CorrelationWindow sim.Time
 	// FlowTelemetryAt, when set, restricts the flow tables to the
 	// switches it approves (§5 partial deployment). PFC causality
 	// analysis stays fabric-wide. Nil means full deployment.
@@ -60,17 +57,20 @@ type HostFaults interface {
 	CorruptHostReport(id topo.NodeID, r *telemetry.HostReport)
 }
 
+// correlationWindow bounds how long after a trigger a telemetry
+// collection still belongs to that diagnosis session.
+const correlationWindow sim.Time = 2 * sim.Millisecond
+
 // DefaultConfig returns the evaluation defaults.
 func DefaultConfig() Config {
 	return Config{
-		Telemetry:         telemetry.DefaultConfig(),
-		Polling:           polling.DefaultConfig(),
-		Collect:           collect.DefaultConfig(),
-		Diagnosis:         diagnosis.DefaultConfig(),
-		BurstRateFrac:     0.15,
-		BurstMaxEpochs:    3,
-		CorrelationWindow: 2 * sim.Millisecond,
-		HostTelemetry:     true,
+		Telemetry:      telemetry.DefaultConfig(),
+		Polling:        polling.DefaultConfig(),
+		Collect:        collect.DefaultConfig(),
+		Diagnosis:      diagnosis.DefaultConfig(),
+		BurstRateFrac:  0.15,
+		BurstMaxEpochs: 3,
+		HostTelemetry:  true,
 	}
 }
 
@@ -254,8 +254,8 @@ func (sys *System) Sessions() map[uint32]*Session { return sys.sessions }
 // freshest one from just before.
 func (sys *System) correlate() {
 	for _, s := range sys.sessions {
-		lo := s.Trigger.At - sys.Cfg.Collect.Interval
-		hi := s.Trigger.At + sys.Cfg.CorrelationWindow
+		lo := s.Trigger.At - collect.Interval
+		hi := s.Trigger.At + correlationWindow
 		best := make(map[topo.NodeID]*collect.Delivery)
 		for i := range sys.deliveries {
 			d := &sys.deliveries[i]

@@ -28,7 +28,7 @@ func chainSystem(t *testing.T, switches, hostsPer int) (*cluster.Cluster, *Syste
 		t.Fatal(err)
 	}
 	r := topo.ComputeRouting(d.Topology)
-	cl := cluster.New(d.Topology, r, cluster.DefaultConfig(d.Topology))
+	cl := cluster.New(d.Topology, r, cluster.DefaultConfig())
 	sys, err := Install(cl, fastConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func ringSystem(t *testing.T) (*cluster.Cluster, *System, *topo.Ring) {
 	}
 	r := topo.ComputeRouting(ring.Topology)
 	ring.ForceClockwise(r, nil)
-	cl := cluster.New(ring.Topology, r, cluster.DefaultConfig(ring.Topology))
+	cl := cluster.New(ring.Topology, r, cluster.DefaultConfig())
 	sys, err := Install(cl, fastConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -267,28 +267,34 @@ func TestEndToEndOutOfLoopDeadlockInjection(t *testing.T) {
 }
 
 func TestEndToEndNormalContention(t *testing.T) {
-	// Transient shallow bursts that stay under per-ingress Xoff: queueing
-	// delay without any PFC. Diagnosis degenerates to traditional flow
+	// Transient bursts that stay under per-ingress Xoff: queueing delay
+	// without any PFC. Diagnosis degenerates to traditional flow
 	// contention (Table 2 last row).
 	d, err := topo.NewChain(2, 6, topo.DefaultBandwidth, topo.DefaultDelay)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := topo.ComputeRouting(d.Topology)
-	ccfg := cluster.DefaultConfig(d.Topology)
+	ccfg := cluster.DefaultConfig()
 	// Mild contention inflates RTT by ~10 µs on a ~13 µs base: lower the
 	// detection threshold so the agent still notices.
 	ccfg.Host.Agent.RTTFactor = 1.5
+	// Deep-buffer Xoff, as the normal-contention scenario sets it, keeps
+	// the bursts under the PFC trigger.
+	ccfg.Switch.XoffBytes = 256 * 1024
+	ccfg.Switch.XonBytes = ccfg.Switch.XoffBytes / 2
 	cl := cluster.New(d.Topology, r, ccfg)
 	sys, err := Install(cl, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := d.HostsAt[1][0]
-	victim := cl.StartFlow(d.HostsAt[0][0], dst, 600_000, 0)
+	// The victim is still sending when the bursts land, and at a quarter
+	// of the line rate it leaves them the larger share of the queue.
+	victim := cl.StartFlowRate(d.HostsAt[0][0], dst, 3_000_000, 0, 25e9)
 	var bursts []*host.Flow
 	for i := 1; i < 5; i++ {
-		bursts = append(bursts, cl.StartFlow(d.HostsAt[0][i], dst, 40_000, 150*sim.Microsecond))
+		bursts = append(bursts, cl.StartFlow(d.HostsAt[0][i], dst, 150_000, 150*sim.Microsecond))
 	}
 	cl.Run(20 * sim.Millisecond)
 
@@ -297,7 +303,7 @@ func TestEndToEndNormalContention(t *testing.T) {
 	}
 	res := resultFor(sys.DiagnoseAll(), victim.Tuple)
 	if res == nil {
-		t.Skipf("victim did not trigger (RTT inflation below threshold); triggers=%d", len(sys.Triggers()))
+		t.Fatalf("victim did not trigger (RTT inflation below threshold); triggers=%d", len(sys.Triggers()))
 	}
 	if res.Diagnosis.Type != diagnosis.TypeNormalContention {
 		t.Fatalf("type = %v, want normal-flow-contention\n%v\n%v",

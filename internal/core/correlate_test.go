@@ -88,8 +88,8 @@ func TestCorrelateWindowBounds(t *testing.T) {
 	sys := newCorrelateSystem()
 	const trig = 5 * sim.Millisecond
 	s := addSession(sys, 1, trig)
-	lo := trig - sys.Cfg.Collect.Interval
-	hi := trig + sys.Cfg.CorrelationWindow
+	lo := trig - collect.Interval
+	hi := trig + correlationWindow
 	sys.deliveries = []collect.Delivery{
 		delivery(1, lo-sim.Microsecond), // too old: predates the dedup interval
 		delivery(2, hi+sim.Microsecond), // too late: past the correlation window

@@ -15,51 +15,47 @@ import (
 	"hawkeye/internal/topo"
 )
 
-// Config controls buffer management, PFC and ECN behaviour.
+// Config controls buffer management, PFC and ECN behaviour. PFC
+// protects packet.ClassLossless alone.
 type Config struct {
-	// EnablePFC turns priority flow control on for lossless classes.
-	EnablePFC bool
-	// LosslessClasses marks which 802.1p classes are PFC-protected.
-	LosslessClasses [packet.NumClasses]bool
 	// XoffBytes: ingress (port, class) usage above this asserts PAUSE.
 	XoffBytes int
 	// XonBytes: usage below this deasserts (sends RESUME).
 	XonBytes int
-	// PauseQuanta is the pause duration carried in each PAUSE frame.
-	PauseQuanta uint16
-	// PauseRefresh is the fraction of the pause duration after which an
-	// still-asserted pause is re-sent (hardware refreshes similarly).
-	PauseRefresh float64
 	// TotalBufferBytes bounds the shared packet buffer. Zero = unlimited.
 	TotalBufferBytes int
 
 	// EnableECN turns RED/ECN marking on for lossless classes.
 	EnableECN bool
-	// KminBytes..KmaxBytes is the RED ramp; Pmax the top mark probability.
+	// KminBytes..KmaxBytes is the RED ramp; pmax the top mark probability.
 	KminBytes int
 	KmaxBytes int
-	Pmax      float64
 }
+
+const (
+	// pauseQuanta is the pause duration carried in each PAUSE frame:
+	// the largest IEEE 802.1Qbb quanta, ≈335 µs at 100 Gbps. Real
+	// deployments pause with large quanta and rely on the explicit Xon
+	// RESUME; expiry is only a failure backstop.
+	pauseQuanta uint16 = packet.MaxPauseQuanta
+	// pauseRefresh is the fraction of the pause duration after which a
+	// still-asserted pause is re-sent (hardware refreshes similarly).
+	pauseRefresh float64 = 0.5
+	// pmax is DCQCN's P_max (Zhu et al., SIGCOMM '15): the RED mark
+	// probability at KmaxBytes. The value is this model's.
+	pmax float64 = 0.2
+)
 
 // DefaultConfig returns thresholds sized for 100 Gbps links with 2 µs
 // delay (per-hop BDP ≈ 50 KB): ECN keeps steady-state queues below Xoff
 // so PFC fires only on bursts, the regime the paper studies.
 func DefaultConfig() Config {
-	var lossless [packet.NumClasses]bool
-	lossless[packet.ClassLossless] = true
 	return Config{
-		EnablePFC:       true,
-		LosslessClasses: lossless,
-		XoffBytes:       48 * 1024,
-		XonBytes:        24 * 1024,
-		// Real deployments pause with large quanta and rely on the
-		// explicit Xon RESUME; expiry is only a failure backstop.
-		PauseQuanta:  packet.MaxPauseQuanta, // ≈335 µs at 100 Gbps
-		PauseRefresh: 0.5,
-		EnableECN:    true,
-		KminBytes:    16 * 1024,
-		KmaxBytes:    64 * 1024,
-		Pmax:         0.2,
+		XoffBytes: 48 * 1024,
+		XonBytes:  24 * 1024,
+		EnableECN: true,
+		KminBytes: 16 * 1024,
+		KmaxBytes: 64 * 1024,
 	}
 }
 
@@ -251,11 +247,11 @@ func (sw *Switch) EnqueueAt(pkt *packet.Packet, inPort, out int) {
 	if sw.bufferUsed > sw.MaxBufferUse {
 		sw.MaxBufferUse = sw.bufferUsed
 	}
-	if inPort >= 0 && sw.lossless(class) {
+	if inPort >= 0 && class == packet.ClassLossless {
 		sw.ingressBytes[inPort][class] += pkt.Size
 		sw.checkXoff(inPort, class)
 	}
-	if sw.Cfg.EnableECN && sw.lossless(class) && pkt.Type == packet.TypeData {
+	if sw.Cfg.EnableECN && class == packet.ClassLossless && pkt.Type == packet.TypeData {
 		sw.maybeMark(pkt, eg.QueueBytes(class))
 	}
 	qBytes := eg.Enqueue(fabric.Queued{Pkt: pkt, InPort: inPort})
@@ -273,10 +269,6 @@ func (sw *Switch) EnqueueAt(pkt *packet.Packet, inPort, out int) {
 	}
 }
 
-func (sw *Switch) lossless(class uint8) bool {
-	return sw.Cfg.EnablePFC && sw.Cfg.LosslessClasses[class]
-}
-
 // maybeMark applies the RED/ECN ramp on the pre-enqueue backlog.
 func (sw *Switch) maybeMark(pkt *packet.Packet, qBytes int) {
 	if qBytes <= sw.Cfg.KminBytes {
@@ -286,7 +278,7 @@ func (sw *Switch) maybeMark(pkt *packet.Packet, qBytes int) {
 		pkt.ECN = true
 		return
 	}
-	p := sw.Cfg.Pmax * float64(qBytes-sw.Cfg.KminBytes) / float64(sw.Cfg.KmaxBytes-sw.Cfg.KminBytes)
+	p := pmax * float64(qBytes-sw.Cfg.KminBytes) / float64(sw.Cfg.KmaxBytes-sw.Cfg.KminBytes)
 	if sw.rng.Float64() < p {
 		pkt.ECN = true
 	}
@@ -295,7 +287,7 @@ func (sw *Switch) maybeMark(pkt *packet.Packet, qBytes int) {
 func (sw *Switch) onDequeue(out int, q fabric.Queued) {
 	pkt := q.Pkt
 	sw.bufferUsed -= pkt.Size
-	if q.InPort >= 0 && sw.lossless(pkt.Class) {
+	if q.InPort >= 0 && pkt.Class == packet.ClassLossless {
 		sw.ingressBytes[q.InPort][pkt.Class] -= pkt.Size
 		sw.checkXon(q.InPort, pkt.Class)
 	}
@@ -317,9 +309,9 @@ func (sw *Switch) checkXoff(inPort int, class uint8) {
 
 func (sw *Switch) sendPause(inPort int, class uint8) {
 	sw.TxPFCFrames++
-	sw.net.SendPFC(sw.ID, inPort, packet.NewPause(class, sw.Cfg.PauseQuanta))
-	dur := packet.PauseDuration(sw.Cfg.PauseQuanta, sw.net.Topo.LinkBandwidth)
-	refresh := sim.Time(float64(dur) * sw.Cfg.PauseRefresh)
+	sw.net.SendPFC(sw.ID, inPort, packet.NewPause(class, pauseQuanta))
+	dur := packet.PauseDuration(pauseQuanta, sw.net.Topo.LinkBandwidth)
+	refresh := sim.Time(float64(dur) * pauseRefresh)
 	if refresh < sim.Microsecond {
 		refresh = sim.Microsecond
 	}
@@ -356,7 +348,7 @@ func (sw *Switch) DropQueued(port int, class uint8) int {
 	dropped := sw.egress[port].DropClass(class)
 	for _, q := range dropped {
 		sw.bufferUsed -= q.Pkt.Size
-		if q.InPort >= 0 && sw.lossless(q.Pkt.Class) {
+		if q.InPort >= 0 && q.Pkt.Class == packet.ClassLossless {
 			sw.ingressBytes[q.InPort][q.Pkt.Class] -= q.Pkt.Size
 			sw.checkXon(q.InPort, q.Pkt.Class)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hawkeye/internal/cluster"
+	"hawkeye/internal/collect"
 	"hawkeye/internal/core"
 	"hawkeye/internal/diagnosis"
 	"hawkeye/internal/fleetstore"
@@ -28,7 +29,7 @@ func TestConcurrentAnomalies(t *testing.T) {
 		t.Fatal(err)
 	}
 	routing := topo.ComputeRouting(ft.Topology)
-	ccfg := cluster.DefaultConfig(ft.Topology)
+	ccfg := cluster.DefaultConfig()
 	ccfg.Seed = 1
 	ccfg.Host.Agent.RTTFactor = 2
 	cl := cluster.New(ft.Topology, routing, ccfg)
@@ -41,7 +42,7 @@ func TestConcurrentAnomalies(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	params := workload.DefaultParams(score.Telemetry.EpochSize())
+	params := workload.Params{EpochSize: score.Telemetry.EpochSize()}
 	incast := workload.BuildIncast(cl, ft, params)
 
 	// Hand-rolled storm decoupled from the incast: rogue in pod 3,
@@ -56,7 +57,7 @@ func TestConcurrentAnomalies(t *testing.T) {
 		Victims:         make(map[packet.FiveTuple]bool),
 		AnomalyAt:       incast.AnomalyAt,
 	}
-	cl.Hosts[rogue].InjectPFC(storm.AnomalyAt, storm.AnomalyAt+params.InjectFor, packet.MaxPauseQuanta)
+	cl.Hosts[rogue].InjectPFC(storm.AnomalyAt, storm.AnomalyAt+workload.InjectFor, packet.MaxPauseQuanta)
 	for _, src := range []topo.NodeID{ft.PodHosts[1][0], ft.PodHosts[1][1]} {
 		f := cl.StartFlowRate(src, rogue, 40_000_000, storm.AnomalyAt-300*sim.Microsecond, 25e9)
 		storm.Victims[f.Tuple] = true
@@ -96,7 +97,7 @@ func TestConcurrentAnomalies(t *testing.T) {
 	}
 	// Hard bound: at most one collection per switch per dedup interval.
 	horizon := incast.AnomalyAt + 15*sim.Millisecond
-	perSwitch := int(horizon/sys.Cfg.Collect.Interval) + 1
+	perSwitch := int(horizon/collect.Interval) + 1
 	if max := perSwitch * len(cl.Switches); st.Collections > max {
 		t.Errorf("collections = %d, exceeds the dedup-interval bound %d", st.Collections, max)
 	}

@@ -121,7 +121,7 @@ func TestBinaryMeterAblationDegrades(t *testing.T) {
 	full := tr.Score
 	bin := tr.ScoreWithBinaryMeter()
 	if !full.Correct {
-		t.Skip("base trial incorrect; ablation comparison meaningless")
+		t.Fatalf("base trial incorrect on seed 1: %s", full.Reason)
 	}
 	_ = bin // correctness may or may not survive; the API must work
 	if bin.Result == nil && bin.Detected {

@@ -85,7 +85,7 @@ func RunECMPImbalance(seed uint64) (metrics.TrialScore, error) {
 		return metrics.TrialScore{}, err
 	}
 	routing := topo.ComputeRouting(ftree.Topology)
-	ccfg := cluster.DefaultConfig(ftree.Topology)
+	ccfg := cluster.DefaultConfig()
 	ccfg.Seed = seed
 	ccfg.Host.Agent.RTTFactor = 2
 	// The imbalance must persist for the complaint to be diagnosable:
@@ -108,7 +108,7 @@ func RunECMPImbalance(seed uint64) (metrics.TrialScore, error) {
 	agg := ftree.Agg[0][0]
 	hotUp := portToward(t, agg, ftree.Core[0]) // the uplink everything polarizes onto
 
-	params := workload.DefaultParams(score.Telemetry.EpochSize())
+	params := workload.Params{EpochSize: score.Telemetry.EpochSize()}
 	gt := &workload.GroundTruth{
 		Scenario:        "ecmp-imbalance",
 		Type:            diagnosis.TypePFCContention,

@@ -25,7 +25,7 @@ func testbedCluster(seed uint64) (*cluster.Cluster, *core.System, *topo.LeafSpin
 		return nil, nil, nil, err
 	}
 	routing := topo.ComputeRouting(ls.Topology)
-	ccfg := cluster.DefaultConfig(ls.Topology)
+	ccfg := cluster.DefaultConfig()
 	ccfg.Seed = seed
 	ccfg.Host.Agent.RTTFactor = 2
 	cl := cluster.New(ls.Topology, routing, ccfg)
@@ -43,7 +43,7 @@ func testbedCluster(seed uint64) (*cluster.Cluster, *core.System, *topo.LeafSpin
 // leaf-spine: local bursts congest one host port on leaf 0; victims from
 // leaf 1 share the paused uplinks without touching the congested port.
 func buildTestbedIncast(cl *cluster.Cluster, ls *topo.LeafSpine, epoch sim.Time) *workload.GroundTruth {
-	p := workload.DefaultParams(epoch)
+	p := workload.Params{EpochSize: epoch}
 	target := ls.LeafHosts[0][0]
 	sibling := ls.LeafHosts[0][1]
 	gt := &workload.GroundTruth{
@@ -68,7 +68,7 @@ func buildTestbedIncast(cl *cluster.Cluster, ls *topo.LeafSpine, epoch sim.Time)
 	// the detection-dedup window (~500 µs) so a post-maturity complaint
 	// exists to score.
 	for _, src := range []topo.NodeID{sibling, ls.LeafHosts[1][2], ls.LeafHosts[1][3]} {
-		b := cl.StartFlow(src, target, 8*p.BurstBytes, gt.AnomalyAt)
+		b := cl.StartFlow(src, target, 8*workload.BurstBytes, gt.AnomalyAt)
 		gt.Culprits[b.Tuple] = true
 	}
 	return gt
@@ -78,7 +78,7 @@ func buildTestbedIncast(cl *cluster.Cluster, ls *topo.LeafSpine, epoch sim.Time)
 // rogue host on leaf 0 injects continuous PFC while senders on leaf 1
 // run well below capacity.
 func buildTestbedStorm(cl *cluster.Cluster, ls *topo.LeafSpine, epoch sim.Time) *workload.GroundTruth {
-	p := workload.DefaultParams(epoch)
+	p := workload.Params{EpochSize: epoch}
 	rogue := ls.LeafHosts[0][0]
 	gt := &workload.GroundTruth{
 		Scenario:        "testbed-storm",
@@ -88,7 +88,7 @@ func buildTestbedStorm(cl *cluster.Cluster, ls *topo.LeafSpine, epoch sim.Time) 
 		Victims:         make(map[packet.FiveTuple]bool),
 		AnomalyAt:       p.AnomalyStart(),
 	}
-	cl.Hosts[rogue].InjectPFC(gt.AnomalyAt, gt.AnomalyAt+p.InjectFor, packet.MaxPauseQuanta)
+	cl.Hosts[rogue].InjectPFC(gt.AnomalyAt, gt.AnomalyAt+workload.InjectFor, packet.MaxPauseQuanta)
 	for _, src := range []topo.NodeID{ls.LeafHosts[1][0], ls.LeafHosts[1][1]} {
 		f := cl.StartFlowRate(src, rogue, 40_000_000, gt.AnomalyAt-300*sim.Microsecond, 25e9)
 		gt.Victims[f.Tuple] = true

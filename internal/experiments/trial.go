@@ -151,7 +151,7 @@ func RunTrial(cfg TrialConfig) (*Trial, error) {
 	}
 	routing := topo.ComputeRouting(ft.Topology)
 
-	ccfg := cluster.DefaultConfig(ft.Topology)
+	ccfg := cluster.DefaultConfig()
 	ccfg.Seed = cfg.Seed
 	ccfg.Host.Agent.RTTFactor = cfg.RTTFactor
 	if cfg.XoffBytes > 0 {
@@ -235,7 +235,7 @@ func RunTrial(cfg TrialConfig) (*Trial, error) {
 		}
 	}
 
-	params := workload.DefaultParams(score.Telemetry.EpochSize())
+	params := workload.Params{EpochSize: score.Telemetry.EpochSize()}
 	gt := build(cl, ft, params)
 	tr.GT = gt
 

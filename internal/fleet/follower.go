@@ -43,40 +43,21 @@ type FollowerConfig struct {
 	// Dir is the follower's durable directory (fleet-store layout:
 	// snapshots at the root, WAL segments under wal/).
 	Dir string
-	// Reorder bounds the out-of-order admission window (0 = 256). More
-	// than this many durable records waiting on a sequence gap tears
-	// the session; the re-sync either fills the gap or ships a snapshot
-	// past it.
-	Reorder int
-	// AckEvery sends the durable watermark upstream after this many
-	// admitted records (0 = 1: every advance). Snapshots always ack.
-	AckEvery int
-	// ReconnectDelay paces redials after a torn session (0 = 50ms),
-	// doubling up to MaxReconnectDelay (0 = 1s).
-	ReconnectDelay    time.Duration
-	MaxReconnectDelay time.Duration
-	// DialTimeout bounds each dial (0 = 2s).
-	DialTimeout time.Duration
 }
 
-func (c FollowerConfig) withDefaults() FollowerConfig {
-	if c.Reorder <= 0 {
-		c.Reorder = 256
-	}
-	if c.AckEvery <= 0 {
-		c.AckEvery = 1
-	}
-	if c.ReconnectDelay <= 0 {
-		c.ReconnectDelay = 50 * time.Millisecond
-	}
-	if c.MaxReconnectDelay <= 0 {
-		c.MaxReconnectDelay = time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	return c
-}
+const (
+	// reorderWindow bounds the out-of-order admission window. More than
+	// this many durable records waiting on a sequence gap tears the
+	// session; the re-sync either fills the gap or ships a snapshot past
+	// it.
+	reorderWindow = 256
+	// reconnectDelay paces redials after a torn session, doubling up to
+	// maxReconnectDelay.
+	reconnectDelay    = 50 * time.Millisecond
+	maxReconnectDelay = time.Second
+	// dialTimeout bounds each dial.
+	dialTimeout = 2 * time.Second
+)
 
 // Follower is a running replication sink. Safe for concurrent use of
 // the accessors; Stop and Promote serialize themselves.
@@ -111,7 +92,6 @@ type Follower struct {
 // replication loop: dial the primary, stream, and on any failure back
 // off and re-sync from the durable watermark until Stop.
 func StartFollower(cfg FollowerConfig) (*Follower, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Addr == "" || cfg.Dir == "" {
 		return nil, fmt.Errorf("fleet: follower needs Addr and Dir")
 	}
@@ -278,7 +258,7 @@ func (f *Follower) run() {
 	defer close(f.done)
 	// The fleet's one backoff schedule, unjittered: a shard has a single
 	// follower, so there is no herd to spread.
-	backoff := analyzd.RetryConfig{BaseBackoff: f.cfg.ReconnectDelay, MaxBackoff: f.cfg.MaxReconnectDelay}
+	backoff := analyzd.RetryConfig{BaseBackoff: reconnectDelay, MaxBackoff: maxReconnectDelay}
 	for attempt := 0; ; attempt++ {
 		if f.quitting() {
 			return
@@ -303,7 +283,7 @@ var errFollowerStopped = errors.New("fleet: follower stopped")
 // MsgReplicate from the durable watermark, then the validated frame
 // loop. Returns nil only when Stop ended the session.
 func (f *Follower) stream() error {
-	conn, err := net.DialTimeout("tcp", f.cfg.Addr, f.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", f.cfg.Addr, dialTimeout)
 	if err != nil {
 		return err
 	}
@@ -350,7 +330,6 @@ func (f *Follower) stream() error {
 		return fail(err)
 	}
 	v := wire.NewReplValidator(from)
-	sinceAck := 0
 	for {
 		mt, payload, err := wire.ReadFrame(conn)
 		if err != nil {
@@ -369,11 +348,8 @@ func (f *Follower) stream() error {
 			}
 			v.Commit(f.acked.Load())
 			if advanced {
-				if sinceAck++; sinceAck >= f.cfg.AckEvery {
-					sinceAck = 0
-					if err := wire.WriteJSON(conn, wire.MsgReplAck, wire.ReplAck{Seq: f.acked.Load(), Epoch: f.epoch.Load()}); err != nil {
-						return fail(err)
-					}
+				if err := wire.WriteJSON(conn, wire.MsgReplAck, wire.ReplAck{Seq: f.acked.Load(), Epoch: f.epoch.Load()}); err != nil {
+					return fail(err)
 				}
 			}
 		case mt == wire.MsgReplSnapshot:
@@ -386,7 +362,6 @@ func (f *Follower) stream() error {
 				return fail(err)
 			}
 			v.Commit(f.acked.Load())
-			sinceAck = 0
 			if err := wire.WriteJSON(conn, wire.MsgReplAck, wire.ReplAck{Seq: f.acked.Load(), Epoch: f.epoch.Load()}); err != nil {
 				return fail(err)
 			}
@@ -461,7 +436,7 @@ func (f *Follower) admit(seq uint64, payload []byte) (bool, error) {
 		advanced = true
 	}
 	f.acked.Advance(w)
-	if len(f.pending) > f.cfg.Reorder {
+	if len(f.pending) > reorderWindow {
 		// A gap stalled the window past its bound — likely a record the
 		// primary admitted but never durably logged (WAL error). Tear
 		// and re-sync: the primary answers from its WAL (the gap is

@@ -10,6 +10,7 @@ import (
 	"hawkeye/internal/analyzd"
 	"hawkeye/internal/diagnosis"
 	"hawkeye/internal/fleetstore"
+	"hawkeye/internal/fleetstore/wal"
 	"hawkeye/internal/sim"
 	"hawkeye/internal/topo"
 )
@@ -309,6 +310,39 @@ func TestFollowerStopWakesWaiters(t *testing.T) {
 	}
 	if err := <-epochErr; err == nil || !strings.Contains(err.Error(), "follower stopped with mirrored epoch") {
 		t.Fatalf("waitEpoch across Stop: %v", err)
+	}
+}
+
+// More than reorderWindow durable records held behind a sequence gap
+// tear the session with the overflow error, and the acknowledged
+// watermark stays below the gap: no record past a missing one is ever
+// acked.
+func TestFollowerReorderWindowOverflow(t *testing.T) {
+	log, _, err := wal.Open(filepath.Join(t.TempDir(), "wal"), wal.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	f := &Follower{log: log, pending: make(map[uint64]bool)}
+	const gap = 5 // never admitted
+	for seq := uint64(1); seq < gap; seq++ {
+		if _, err := f.admit(seq, []byte("rec")); err != nil {
+			t.Fatalf("admit %d: %v", seq, err)
+		}
+	}
+	seq := uint64(gap)
+	for err == nil && seq < gap+2*reorderWindow {
+		seq++
+		_, err = f.admit(seq, []byte("rec"))
+	}
+	if err == nil || !strings.Contains(err.Error(), "reorder window overflow") {
+		t.Fatalf("no overflow after %d records past the gap: %v", seq-gap, err)
+	}
+	if past := int(seq - gap); past != reorderWindow+1 || f.Pending() != past {
+		t.Fatalf("overflow at %d records past the gap (%d pending), want %d", past, f.Pending(), reorderWindow+1)
+	}
+	if got := f.AckedSeq(); got != gap-1 {
+		t.Fatalf("acked watermark %d, want %d: below the gap at %d", got, gap-1, gap)
 	}
 }
 

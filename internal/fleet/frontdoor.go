@@ -262,12 +262,14 @@ func (fd *Frontdoor) QueryRollups(q wire.RollupQuery) (*wire.RollupResult, []Sha
 	// Sliding views merge when the shards that produced one agree on
 	// its span (a shard with no panes produces none and contributes
 	// nothing); spans that differ omit the merged view rather than
-	// blend mismatched ranges.
+	// blend mismatched ranges. Views that agree but do not merge fail
+	// the query, as a window does.
 	if len(slidings) > 0 && slidingSpansAgree(slidings) {
 		merged, err := mergeWireWindows(slidings, wantSketches)
-		if err == nil {
-			out.Sliding = &merged
+		if err != nil {
+			return nil, errs, fmt.Errorf("fleet: merge sliding view: %w", err)
 		}
+		out.Sliding = &merged
 	}
 	return out, errs, nil
 }

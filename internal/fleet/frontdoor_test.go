@@ -1,7 +1,11 @@
 package fleet
 
 import (
+	"encoding/json"
+	"net"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -101,6 +105,86 @@ func TestFrontdoorMergeMatchesReference(t *testing.T) {
 	if res.Sliding != nil {
 		t.Fatalf("sliding views over different spans merged into %d..%d", res.Sliding.StartNS, res.Sliding.EndNS)
 	}
+}
+
+// A sliding view the shards agree on but cannot merge fails the query,
+// as a window merge error does: dropping it would answer with a result
+// that silently lacks the view the query asked for.
+func TestFrontdoorSlidingMergeErrorFailsQuery(t *testing.T) {
+	// Both shards report the same sliding span and no windows; the
+	// view's sketch state does not decode.
+	bad := wire.RollupResult{Sliding: &wire.RollupSummary{
+		StartNS: 0, EndNS: 2e6, Records: 1, Sketches: json.RawMessage(`[]`),
+	}}
+	fd, err := NewFrontdoor([]ShardSpec{
+		{Name: "shard-a", Addr: fakeRollupShard(t, bad)},
+		{Name: "shard-b", Addr: fakeRollupShard(t, bad)},
+	}, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd.Close()
+	res, shardErrs, err := fd.QueryRollups(wire.RollupQuery{Sliding: 2})
+	if len(shardErrs) != 0 {
+		t.Fatalf("shard errors %v: both shards answered", shardErrs)
+	}
+	if err == nil {
+		t.Fatalf("sliding merge error dropped: query answered %+v", res)
+	}
+	if !strings.Contains(err.Error(), "sliding") {
+		t.Fatalf("error %q does not name the sliding view", err)
+	}
+}
+
+// fakeRollupShard serves the operator handshake and answers every
+// rollup query with res, so a test controls exactly what a shard
+// replies. It returns the listen address.
+func fakeRollupShard(t *testing.T, res wire.RollupResult) string {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cleanup runs after the test's deferred fd.Close has closed the
+	// clients, so every connection goroutine has returned or will.
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		lis.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				for {
+					mt, _, err := wire.ReadFrame(conn)
+					if err != nil {
+						return
+					}
+					switch mt {
+					case wire.MsgHello:
+						err = wire.WriteFrame(conn, wire.MsgHelloOK, nil)
+					case wire.MsgQueryRollups:
+						err = wire.WriteJSON(conn, wire.MsgRollupList, res)
+					default:
+						err = wire.WriteFrame(conn, wire.MsgError, []byte("fake shard: unsupported request"))
+					}
+					if err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return lis.Addr().String()
 }
 
 // A dead shard degrades a fleet-wide query to partial results with the

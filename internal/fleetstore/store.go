@@ -113,8 +113,6 @@ type Config struct {
 	SnapshotEvery int
 	// SegmentBytes rolls WAL segments at this size (default 1 MiB).
 	SegmentBytes int64
-	// NoSync skips WAL fsyncs (benchmarks only).
-	NoSync bool
 	// ReadOnly opens for inspection: replay without repairing the log,
 	// and no WAL appends or snapshots afterwards.
 	ReadOnly bool
@@ -332,7 +330,6 @@ func Open(dir string, cfg Config) (*Store, error) {
 	}
 	walOpts := wal.Options{
 		SegmentBytes: cfg.SegmentBytes,
-		NoSync:       cfg.NoSync,
 		ReadOnly:     cfg.ReadOnly,
 	}
 	log, stats, err := wal.Open(walDir(dir), walOpts, func(seq uint64, payload []byte) error {

@@ -61,9 +61,6 @@ type Options struct {
 	GroupWindow time.Duration
 	// MaxBatch caps entries per group commit (default 64).
 	MaxBatch int
-	// NoSync skips fsync (benchmarks only; forfeits the durability
-	// contract).
-	NoSync bool
 	// ReadOnly opens for replay only: no repair truncation, no appends.
 	ReadOnly bool
 }
@@ -314,12 +311,10 @@ func (l *Log) openActive() error {
 // Open).
 func (l *Log) rollLocked() error {
 	if l.active != nil {
-		if !l.opts.NoSync {
-			if err := l.active.Sync(); err != nil {
-				return fmt.Errorf("wal: sync on roll: %w", err)
-			}
-			l.syncs.Add(1)
+		if err := l.active.Sync(); err != nil {
+			return fmt.Errorf("wal: sync on roll: %w", err)
 		}
+		l.syncs.Add(1)
 		if err := l.active.Close(); err != nil {
 			return fmt.Errorf("wal: close on roll: %w", err)
 		}
@@ -424,12 +419,10 @@ func (l *Log) commitLocked(batch []*appendReq) error {
 	if l.syncHook != nil {
 		l.syncHook()
 	}
-	if !l.opts.NoSync {
-		if err := l.active.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
-		}
-		l.syncs.Add(1)
+	if err := l.active.Sync(); err != nil {
+		return fmt.Errorf("wal: fsync: %w", err)
 	}
+	l.syncs.Add(1)
 	if l.actSize >= l.opts.SegmentBytes {
 		return l.rollLocked()
 	}
@@ -492,11 +485,8 @@ func (l *Log) Close() error {
 	if l.active == nil {
 		return nil
 	}
-	var err error
-	if !l.opts.NoSync {
-		err = l.active.Sync()
-		l.syncs.Add(1)
-	}
+	err := l.active.Sync()
+	l.syncs.Add(1)
 	if cerr := l.active.Close(); err == nil {
 		err = cerr
 	}

@@ -11,28 +11,22 @@ import (
 // AgentConfig controls the Hawkeye host detection agent (§3.4). The paper
 // prototypes it on a BlueField-3 DPU sampling per-flow RTT via DOCA PCC;
 // here it rides the NIC model's per-ACK RTT samples, plus a timeout path
-// so fully blocked flows (deadlock) are still detected.
+// so fully blocked flows (deadlock) are still detected. The zero value
+// is a silent agent: no path can trigger.
 type AgentConfig struct {
-	// Enable turns detection on. Off for baseline hosts.
-	Enable bool
 	// RTTFactor is the degradation threshold as a multiple of the
-	// baseline RTT (the paper sweeps 200%–500%, i.e. 2.0–5.0).
+	// flow's minimum observed RTT, the DPU-agent baseline (the paper
+	// sweeps 200%–500%, i.e. 2.0–5.0). Zero disables the RTT path.
 	RTTFactor float64
-	// BaseRTT anchors the threshold. Zero means "use the per-flow
-	// minimum RTT observed", the DPU-agent behaviour.
-	BaseRTT sim.Time
 	// Timeout triggers detection when a flow has outstanding data and no
 	// ACK for this long (catches deadlocks, where RTT samples stop).
+	// It also paces the watchdog that runs the throughput path. Zero
+	// disables both.
 	Timeout sim.Time
 	// Dedup suppresses repeat polling for the same flow within the
 	// interval (paper: "drops polling packets with the same 5-tuple
 	// within a certain time interval").
 	Dedup sim.Time
-	// RTTSamplesOver debounces the RTT path: this many consecutive
-	// over-threshold samples are required before triggering. A single
-	// inflated sample from an ordinary transient queue is not a
-	// complaint-worthy anomaly.
-	RTTSamplesOver int
 	// ThroughputFrac triggers when a flow's delivery rate falls below
 	// this fraction of its own observed peak while data is outstanding.
 	// Congestion control can absorb PFC damage into a silent long-term
@@ -40,23 +34,27 @@ type AgentConfig struct {
 	// supports throughput/FCT metrics for exactly this reason (§3.6).
 	// Zero disables.
 	ThroughputFrac float64
-	// MinPeak gates throughput detection to flows that ever reached a
-	// meaningful rate (bps).
-	MinPeak float64
 }
+
+const (
+	// rttSamplesOver debounces the RTT path: this many consecutive
+	// over-threshold samples are required before triggering. A single
+	// inflated sample from an ordinary transient queue is not a
+	// complaint-worthy anomaly.
+	rttSamplesOver int = 2
+	// minPeak gates throughput detection to flows that ever reached a
+	// meaningful rate (bps).
+	minPeak float64 = 5e9
+)
 
 // DefaultAgentConfig matches the paper's default operating point:
 // a 300% RTT threshold on a 2-4 hop 100G fabric.
 func DefaultAgentConfig() AgentConfig {
 	return AgentConfig{
-		Enable:         true,
 		RTTFactor:      3.0,
-		BaseRTT:        0,
 		Timeout:        500 * sim.Microsecond,
 		Dedup:          500 * sim.Microsecond,
-		RTTSamplesOver: 2,
 		ThroughputFrac: 0.2,
-		MinPeak:        5e9,
 	}
 }
 
@@ -106,36 +104,26 @@ func newAgent(h *Host, cfg AgentConfig) *Agent {
 		rates:    make(map[uint64]*rateState),
 		overCnt:  make(map[uint64]int),
 	}
-	if cfg.Enable && cfg.Timeout > 0 {
+	if cfg.Timeout > 0 {
 		a.armWatchdog()
 	}
 	return a
 }
 
 func (a *Agent) watch(f *Flow) {
-	if a.cfg.Enable {
+	if a.cfg.Timeout > 0 {
 		a.watching[f.ID] = f
 	}
 }
 
 func (a *Agent) onRTT(f *Flow, rtt sim.Time) {
-	if !a.cfg.Enable {
-		return
-	}
-	base := a.cfg.BaseRTT
-	if base == 0 {
-		base = f.rttMin
-	}
-	if base == 0 {
+	base := f.rttMin
+	if a.cfg.RTTFactor <= 0 || base == 0 {
 		return
 	}
 	if float64(rtt) > a.cfg.RTTFactor*float64(base) {
 		a.overCnt[f.ID]++
-		need := a.cfg.RTTSamplesOver
-		if need < 1 {
-			need = 1
-		}
-		if a.overCnt[f.ID] >= need {
+		if a.overCnt[f.ID] >= rttSamplesOver {
 			a.trigger(f, "rtt", rtt)
 		}
 		return
@@ -183,13 +171,13 @@ func (a *Agent) checkThroughput(f *Flow, period sim.Time) {
 		a.rates[f.ID] = st
 		return
 	}
-	deliveredBits := float64(f.acked-st.prevAcked) * float64(a.host.Cfg.MTU) * 8
+	deliveredBits := float64(f.acked-st.prevAcked) * float64(packet.DefaultMTU) * 8
 	st.prevAcked = f.acked
 	rate := deliveredBits / (float64(period) / 1e9)
 	if rate > st.peakBps {
 		st.peakBps = rate
 	}
-	if st.peakBps >= a.cfg.MinPeak && f.Outstanding() &&
+	if st.peakBps >= minPeak && f.Outstanding() &&
 		rate < a.cfg.ThroughputFrac*st.peakBps {
 		a.trigger(f, "throughput", 0)
 	}

@@ -58,9 +58,9 @@ func (h *Host) StartFlow(id uint64, dstIP uint32, totalBytes int64, start sim.Ti
 // them — e.g. priming a cyclic buffer dependency that only deadlocks once
 // an external initiator congests it.
 func (h *Host) StartFlowRate(id uint64, dstIP uint32, totalBytes int64, start sim.Time, maxRate float64) *Flow {
-	ccCfg := h.Cfg.CC
-	if maxRate > 0 && maxRate < ccCfg.LineRate {
-		ccCfg.LineRate = maxRate
+	lineRate := h.net.Topo.LinkBandwidth
+	if maxRate > 0 && maxRate < lineRate {
+		lineRate = maxRate
 	}
 	srcPort := h.nextSrcPort
 	h.nextSrcPort++
@@ -77,9 +77,9 @@ func (h *Host) StartFlowRate(id uint64, dstIP uint32, totalBytes int64, start si
 			Proto:   packet.ProtoUDP,
 		},
 		host:       h,
-		cc:         cc.NewState(ccCfg),
+		cc:         cc.NewState(lineRate),
 		totalBytes: totalBytes,
-		totalPkts:  uint32((totalBytes + int64(h.Cfg.MTU) - 1) / int64(h.Cfg.MTU)),
+		totalPkts:  uint32((totalBytes + packet.DefaultMTU - 1) / packet.DefaultMTU),
 		remaining:  totalBytes,
 		startAt:    start,
 		lastAckAt:  start,
@@ -143,7 +143,7 @@ func (f *Flow) nextSendTime() sim.Time {
 	if f.lastSend == 0 {
 		return f.host.eng.Now()
 	}
-	wire := float64((f.host.Cfg.MTU + packet.DataHeaderLen) * 8)
+	wire := float64((packet.DefaultMTU + packet.DataHeaderLen) * 8)
 	gap := sim.Time(wire / f.cc.Rate() * 1e9)
 	return f.lastSend + gap
 }
@@ -153,14 +153,14 @@ func (f *Flow) sendNext() {
 	if f.remaining <= 0 {
 		return
 	}
-	if h.egress.QueueBytes(packet.ClassLossless) > h.Cfg.NICQueueCap {
+	if h.egress.QueueBytes(packet.ClassLossless) > nicQueueCap {
 		if f.stallStart == 0 {
 			f.stallStart = h.eng.Now()
 		}
 		h.blocked[f.ID] = f
 		return
 	}
-	payload := int64(h.Cfg.MTU)
+	payload := int64(packet.DefaultMTU)
 	if payload > f.remaining {
 		payload = f.remaining
 	}
@@ -195,7 +195,7 @@ func (f *Flow) rewindTo(seq uint32) {
 		return
 	}
 	f.nextSeq = seq
-	f.remaining = f.totalBytes - int64(seq)*int64(f.host.Cfg.MTU)
+	f.remaining = f.totalBytes - int64(seq)*packet.DefaultMTU
 	f.scheduleSend()
 }
 
@@ -215,7 +215,7 @@ func (f *Flow) stopTimers() {
 }
 
 func (f *Flow) armAlpha() {
-	f.alphaRef = f.host.eng.After(f.host.Cfg.CC.AlphaT, func() {
+	f.alphaRef = f.host.eng.After(cc.AlphaT, func() {
 		if !f.timersLive {
 			return
 		}
@@ -249,7 +249,7 @@ func (f *Flow) armRetx() {
 }
 
 func (f *Flow) armRate() {
-	f.rateRef = f.host.eng.After(f.host.Cfg.CC.RateT, func() {
+	f.rateRef = f.host.eng.After(cc.RateT, func() {
 		if !f.timersLive {
 			return
 		}

@@ -8,46 +8,42 @@ import (
 	"fmt"
 	"sort"
 
-	"hawkeye/internal/cc"
 	"hawkeye/internal/fabric"
 	"hawkeye/internal/packet"
 	"hawkeye/internal/sim"
 	"hawkeye/internal/topo"
 )
 
+// NIC and transport constants. Segments carry packet.DefaultMTU bytes
+// of payload and flows start at the topology's line rate.
+const (
+	// ackEvery coalesces ACKs: one ACK per ackEvery in-order packets
+	// (the last packet of a flow is always acknowledged).
+	ackEvery int = 4
+	// cnpInterval rate-limits CNP generation per flow: the DCQCN
+	// notification point's 50 µs (Zhu et al., SIGCOMM '15).
+	cnpInterval sim.Time = 50 * sim.Microsecond
+	// nicQueueCap is the on-NIC backlog (bytes) above which flow pacing
+	// stalls until the queue drains: four full segments.
+	nicQueueCap int = 4 * (packet.DefaultMTU + packet.DataHeaderLen)
+)
+
 // Config controls NIC and transport behaviour.
 type Config struct {
-	// MTU is the data payload per segment in bytes.
-	MTU int
-	// AckEvery coalesces ACKs: one ACK per AckEvery in-order packets
-	// (the last packet of a flow is always acknowledged).
-	AckEvery int
-	// CNPInterval rate-limits CNP generation per flow (DCQCN NP state).
-	CNPInterval sim.Time
-	// NICQueueCap is the on-NIC backlog (bytes) above which flow pacing
-	// stalls until the queue drains.
-	NICQueueCap int
 	// RetxTimeout is the transport retransmission timer: a flow with
 	// unacknowledged packets and no ACK progress for this long rewinds to
 	// its cumulative ACK (go-back-N), the way a RoCE QP's transport timer
 	// recovers a lost tail. PFC makes loss rare, but watchdog mitigation
 	// and buffer overflow both drop lossless packets. Zero disables.
 	RetxTimeout sim.Time
-	// CC holds the DCQCN parameters.
-	CC cc.Config
 	// Agent configures the Hawkeye detection agent.
 	Agent AgentConfig
 }
 
-// DefaultConfig sizes the host for the given line rate.
-func DefaultConfig(lineRate float64) Config {
+// DefaultConfig returns the evaluation defaults.
+func DefaultConfig() Config {
 	return Config{
-		MTU:         packet.DefaultMTU,
-		AckEvery:    4,
-		CNPInterval: 50 * sim.Microsecond,
-		NICQueueCap: 4 * (packet.DefaultMTU + packet.DataHeaderLen),
 		RetxTimeout: 5 * sim.Millisecond,
-		CC:          cc.DefaultConfig(lineRate),
 		Agent:       DefaultAgentConfig(),
 	}
 }
@@ -180,7 +176,7 @@ func (h *Host) receiveData(pkt *packet.Packet) {
 	rs.Received++
 	if pkt.ECN {
 		rs.ECNReceived++
-		if !rs.hasCNP || h.eng.Now()-rs.lastCNP >= h.Cfg.CNPInterval {
+		if !rs.hasCNP || h.eng.Now()-rs.lastCNP >= cnpInterval {
 			rs.lastCNP = h.eng.Now()
 			rs.hasCNP = true
 			h.sendControl(packet.TypeCNP, pkt, 0)
@@ -190,7 +186,7 @@ func (h *Host) receiveData(pkt *packet.Packet) {
 	case pkt.Seq == rs.expected:
 		rs.expected++
 		rs.sinceAck++
-		if rs.sinceAck >= h.Cfg.AckEvery || pkt.Last {
+		if rs.sinceAck >= ackEvery || pkt.Last {
 			rs.sinceAck = 0
 			h.sendControl(packet.TypeACK, pkt, rs.expected)
 		}
@@ -262,7 +258,7 @@ func (h *Host) receiveCNP(pkt *packet.Packet) {
 // Flows resume in ID order: map iteration order must not leak into the
 // packet interleaving, or runs stop being reproducible.
 func (h *Host) onNICDrain() {
-	if len(h.blocked) == 0 || h.egress.QueueBytes(packet.ClassLossless) > h.Cfg.NICQueueCap {
+	if len(h.blocked) == 0 || h.egress.QueueBytes(packet.ClassLossless) > nicQueueCap {
 		return
 	}
 	ids := make([]uint64, 0, len(h.blocked))

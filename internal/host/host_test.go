@@ -38,8 +38,8 @@ func newPair(t *testing.T, cfg Config) *pair {
 }
 
 func quietCfg() Config {
-	cfg := DefaultConfig(100e9)
-	cfg.Agent.Enable = false // tests drive flows; no watchdog noise
+	cfg := DefaultConfig()
+	cfg.Agent = AgentConfig{} // silent: tests drive flows, no watchdog noise
 	return cfg
 }
 
@@ -126,7 +126,7 @@ func TestNICPauseBlocksAndStallStampsRTT(t *testing.T) {
 }
 
 func TestAgentRTTDebounceAndDedup(t *testing.T) {
-	cfg := DefaultConfig(100e9)
+	cfg := DefaultConfig()
 	cfg.Agent.RTTFactor = 1.5 // trip easily on synthetic samples
 	cfg.Agent.Timeout = 0     // no watchdog
 	cfg.Agent.Dedup = 100 * sim.Microsecond
@@ -167,7 +167,7 @@ func TestAgentRTTDebounceAndDedup(t *testing.T) {
 }
 
 func TestAgentTimeoutPath(t *testing.T) {
-	cfg := DefaultConfig(100e9)
+	cfg := DefaultConfig()
 	cfg.Agent.RTTFactor = 100                 // RTT path off
 	cfg.Agent.ThroughputFrac = 0              // throughput path off
 	cfg.Agent.Timeout = 100 * sim.Microsecond // shorter than the pause
@@ -191,7 +191,7 @@ func TestAgentTimeoutPath(t *testing.T) {
 }
 
 func TestAgentEmitsPollingPacket(t *testing.T) {
-	cfg := DefaultConfig(100e9)
+	cfg := DefaultConfig()
 	cfg.Agent.RTTFactor = 1.5
 	p := newPair(t, cfg)
 	f := p.a.StartFlow(1, p.b.IP, 10_000_000, 0)

@@ -52,8 +52,7 @@ func (k PathologyKind) String() string {
 	return fmt.Sprintf("pathology(%d)", int(k))
 }
 
-// PathologyConfig parametrizes one installed pathology. The zero value
-// is unusable; start from DefaultPathologyConfig.
+// PathologyConfig parametrizes one installed pathology.
 type PathologyConfig struct {
 	Kind PathologyKind
 	// Seed forks the pathology's own randomness stream (burst jitter);
@@ -62,52 +61,39 @@ type PathologyConfig struct {
 	// Start/Stop bound the defect window. Outside it the NIC drains at
 	// line rate (the defect "heals", backlog permitting).
 	Start, Stop sim.Time
+}
 
+// Pathology model constants, sized so each pathology reliably
+// reproduces on the default 100G fat-tree: the slow receiver drains a
+// fifth of the line rate, the thrashing NIC degrades to ~1 µs/packet
+// beyond a 2-QP working set, and the storm pauses its ToR port roughly
+// a third of the time.
+const (
 	// RX-buffer model (slow receiver, cache thrash): capacity and the
 	// Xoff/Xon occupancy thresholds at which the NIC asserts/releases
 	// PFC toward its ToR.
-	RxBufferBytes int
-	XoffBytes     int
-	XonBytes      int
+	rxBufferBytes int = 512 << 10
+	rxXoffBytes   int = 256 << 10
+	rxXonBytes    int = 128 << 10
 
-	// DrainBps is the slow receiver's bounded drain rate.
-	DrainBps float64
+	// drainBps is the slow receiver's bounded drain rate.
+	drainBps float64 = 20e9
 
 	// Cache-thrash latency model: per-packet service latency
-	// BaseProcNS * (1 + ThrashFactor * max(0, fanIn - ThrashFlows)),
+	// baseProcNS * (1 + thrashFactor * max(0, fanIn - thrashFlows)),
 	// where fanIn is the count of distinct inbound flows the NIC has
 	// served — cumulative, because every new QP pollutes the cache.
-	BaseProcNS   sim.Time
-	ThrashFlows  int
-	ThrashFactor float64
+	baseProcNS   sim.Time = 150
+	thrashFlows  int      = 2
+	thrashFactor float64  = 1.5
 
-	// Pause-storm burst model: bursts hold PFC for ~BurstHold, separated
-	// by ~BurstEvery gaps, both jittered from the seed stream.
-	BurstEvery  sim.Time
-	BurstHold   sim.Time
-	BurstQuanta uint16
-}
-
-// DefaultPathologyConfig returns a parametrization that reliably
-// reproduces the pathology on the default 100G fat-tree: the slow
-// receiver drains a fifth of the line rate, the thrashing NIC degrades
-// to ~1 µs/packet beyond a 2-QP working set, and the storm pauses its
-// ToR port roughly a third of the time.
-func DefaultPathologyConfig(kind PathologyKind) PathologyConfig {
-	return PathologyConfig{
-		Kind:          kind,
-		RxBufferBytes: 512 << 10,
-		XoffBytes:     256 << 10,
-		XonBytes:      128 << 10,
-		DrainBps:      20e9,
-		BaseProcNS:    150,
-		ThrashFlows:   2,
-		ThrashFactor:  1.5,
-		BurstEvery:    150 * sim.Microsecond,
-		BurstHold:     60 * sim.Microsecond,
-		BurstQuanta:   packet.MaxPauseQuanta,
-	}
-}
+	// Pause-storm burst model: bursts hold PFC for ~burstHold,
+	// separated by ~burstEvery gaps, both jittered from the seed stream,
+	// each pause carrying the largest 802.1Qbb quanta.
+	burstEvery  sim.Time = 150 * sim.Microsecond
+	burstHold   sim.Time = 60 * sim.Microsecond
+	burstQuanta uint16   = packet.MaxPauseQuanta
+)
 
 // buffered reports whether the kind runs the bounded RX-buffer model.
 func (c *PathologyConfig) buffered() bool {
@@ -173,7 +159,7 @@ func (h *Host) rxIngress(pkt *packet.Packet) {
 		h.receiveData(pkt)
 		return
 	}
-	if p.bytes+pkt.Size > p.cfg.RxBufferBytes {
+	if p.bytes+pkt.Size > rxBufferBytes {
 		// Xoff propagation slack exhausted: a real NIC drops here too —
 		// the lossless contract is already broken by the defect.
 		p.overflowDrops++
@@ -181,7 +167,7 @@ func (h *Host) rxIngress(pkt *packet.Packet) {
 	}
 	p.q = append(p.q, pkt)
 	p.bytes += pkt.Size
-	if !p.paused && p.bytes >= p.cfg.XoffBytes {
+	if !p.paused && p.bytes >= rxXoffBytes {
 		h.setRxPaused(true)
 	}
 	h.rxPump()
@@ -195,13 +181,13 @@ func (p *rxPathology) serviceTime(h *Host, pkt *packet.Packet) sim.Time {
 	}
 	switch p.cfg.Kind {
 	case PathologySlowReceiver:
-		return sim.Time(float64(pkt.Size*8) / p.cfg.DrainBps * 1e9)
+		return sim.Time(float64(pkt.Size*8) / drainBps * 1e9)
 	case PathologyCacheThrash:
-		extra := len(h.recv) - p.cfg.ThrashFlows
+		extra := len(h.recv) - thrashFlows
 		if extra < 0 {
 			extra = 0
 		}
-		return sim.Time(float64(p.cfg.BaseProcNS) * (1 + p.cfg.ThrashFactor*float64(extra)))
+		return sim.Time(float64(baseProcNS) * (1 + thrashFactor*float64(extra)))
 	}
 	return 0
 }
@@ -225,7 +211,7 @@ func (h *Host) rxPump() {
 		p.procPkts++
 		h.receiveData(pkt)
 		p.draining = false
-		if p.paused && p.bytes <= p.cfg.XonBytes {
+		if p.paused && p.bytes <= rxXonBytes {
 			h.setRxPaused(false)
 		}
 		h.rxPump()
@@ -262,8 +248,8 @@ func (h *Host) setRxPaused(on bool) {
 }
 
 // stormBurst runs one spurious pause burst and schedules the next: hold
-// PFC asserted for a jittered BurstHold, release, wait a jittered
-// BurstEvery gap. Entirely decoupled from buffer state — the discriminant
+// PFC asserted for a jittered burstHold, release, wait a jittered
+// burstEvery gap. Entirely decoupled from buffer state — the discriminant
 // the host report carries is PauseTx > 0 with an empty RX buffer.
 func (h *Host) stormBurst() {
 	p := h.pathology
@@ -275,9 +261,9 @@ func (h *Host) stormBurst() {
 		h.sendPFC(packet.NewResume(packet.ClassLossless))
 		return
 	}
-	hold := jitter(p.rng, p.cfg.BurstHold)
+	hold := jitter(p.rng, burstHold)
 	end := now + hold
-	quanta := p.cfg.BurstQuanta
+	quanta := burstQuanta
 	refresh := packet.PauseDuration(quanta, h.net.Topo.LinkBandwidth) / 2
 	if refresh < sim.Microsecond {
 		refresh = sim.Microsecond
@@ -287,7 +273,7 @@ func (h *Host) stormBurst() {
 		t := h.eng.Now()
 		if t >= end || t >= p.cfg.Stop {
 			h.sendPFC(packet.NewResume(packet.ClassLossless))
-			h.eng.After(jitter(p.rng, p.cfg.BurstEvery), h.stormBurst)
+			h.eng.After(jitter(p.rng, burstEvery), h.stormBurst)
 			return
 		}
 		h.sendPFC(packet.NewPause(packet.ClassLossless, quanta))
@@ -326,7 +312,7 @@ func (h *Host) NICCounters() NICCounters {
 		ActiveQPs: uint32(len(h.recv)),
 	}
 	if p := h.pathology; p != nil && p.cfg.buffered() {
-		c.RxBufferCap = uint64(p.cfg.RxBufferBytes)
+		c.RxBufferCap = uint64(rxBufferBytes)
 		c.RxBufferBytes = uint64(p.bytes)
 		if p.busyNS > 0 {
 			c.DrainBps = uint64(float64(p.drainedBytes*8) / (float64(p.busyNS) / 1e9))

@@ -16,7 +16,7 @@ func chainWithNetSight(t *testing.T) (*cluster.Cluster, *topo.Dumbbell, *Store) 
 		t.Fatal(err)
 	}
 	r := topo.ComputeRouting(d.Topology)
-	cl := cluster.New(d.Topology, r, cluster.DefaultConfig(d.Topology))
+	cl := cluster.New(d.Topology, r, cluster.DefaultConfig())
 	store := NewStore()
 	InstallAll(cl.Switches, store)
 	return cl, d, store

@@ -191,7 +191,7 @@ func TestTapCapturesClusterTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := topo.ComputeRouting(d.Topology)
-	cl := cluster.New(d.Topology, r, cluster.DefaultConfig(d.Topology))
+	cl := cluster.New(d.Topology, r, cluster.DefaultConfig())
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
 	if err != nil {
@@ -249,7 +249,7 @@ func TestTapFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := topo.ComputeRouting(d.Topology)
-	cl := cluster.New(d.Topology, r, cluster.DefaultConfig(d.Topology))
+	cl := cluster.New(d.Topology, r, cluster.DefaultConfig())
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
 	if err != nil {

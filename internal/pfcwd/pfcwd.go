@@ -33,8 +33,6 @@ type Config struct {
 	// RestorationTime is how long the queue must stay unpaused before the
 	// watchdog stops discarding and restores lossless service.
 	RestorationTime sim.Time
-	// Class is the lossless class the watchdog protects.
-	Class uint8
 }
 
 // DefaultConfig returns timers scaled for the simulated fabric (100 Gbps,
@@ -44,7 +42,6 @@ func DefaultConfig() Config {
 		Interval:        100 * sim.Microsecond,
 		DetectionTime:   1 * sim.Millisecond,
 		RestorationTime: 400 * sim.Microsecond,
-		Class:           packet.ClassLossless,
 	}
 }
 
@@ -75,7 +72,8 @@ type Stats struct {
 	DroppedQueued int
 }
 
-// Watchdog polls one switch's egress queues for persistent pause.
+// Watchdog polls one switch's egress queues for persistent pause of
+// packet.ClassLossless.
 type Watchdog struct {
 	sw  *device.Switch
 	eng *sim.Engine
@@ -122,7 +120,7 @@ func (w *Watchdog) poll() {
 	now := w.eng.Now()
 	for p := 0; p < w.sw.NumPorts(); p++ {
 		eg := w.sw.EgressAt(p)
-		paused := eg.Paused(w.cfg.Class)
+		paused := eg.Paused(packet.ClassLossless)
 		if w.stormed[p] {
 			if paused {
 				w.clearFor[p] = 0
@@ -157,8 +155,8 @@ func (w *Watchdog) storm(port int) {
 	w.stormed[port] = true
 	w.clearFor[port] = 0
 	w.stats.Storms++
-	w.stats.DroppedQueued += w.sw.DropQueued(port, w.cfg.Class)
-	w.sw.SetWatchdogDrop(port, w.cfg.Class, true)
+	w.stats.DroppedQueued += w.sw.DropQueued(port, packet.ClassLossless)
+	w.sw.SetWatchdogDrop(port, packet.ClassLossless, true)
 }
 
 // restore returns (port, class) to lossless service.
@@ -166,5 +164,5 @@ func (w *Watchdog) restore(port int) {
 	w.stormed[port] = false
 	w.pausedFor[port] = 0
 	w.stats.Restores++
-	w.sw.SetWatchdogDrop(port, w.cfg.Class, false)
+	w.sw.SetWatchdogDrop(port, packet.ClassLossless, false)
 }

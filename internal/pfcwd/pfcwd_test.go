@@ -16,7 +16,7 @@ func chainCluster(t *testing.T) (*cluster.Cluster, *topo.Dumbbell) {
 		t.Fatal(err)
 	}
 	r := topo.ComputeRouting(d.Topology)
-	return cluster.New(d.Topology, r, cluster.DefaultConfig(d.Topology)), d
+	return cluster.New(d.Topology, r, cluster.DefaultConfig()), d
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -169,7 +169,7 @@ func TestWatchdogBreaksRingDeadlock(t *testing.T) {
 		}
 		r := topo.ComputeRouting(ring.Topology)
 		ring.ForceClockwise(r, nil)
-		cl := cluster.New(ring.Topology, r, cluster.DefaultConfig(ring.Topology))
+		cl := cluster.New(ring.Topology, r, cluster.DefaultConfig())
 		var dogs []*Watchdog
 		if withWatchdog {
 			for _, id := range ring.Switches {

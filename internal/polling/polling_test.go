@@ -48,7 +48,7 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	r := topo.ComputeRouting(d.Topology)
-	cl := cluster.New(d.Topology, r, cluster.DefaultConfig(d.Topology))
+	cl := cluster.New(d.Topology, r, cluster.DefaultConfig())
 	fx := &fixture{
 		cl:     cl,
 		d:      d,

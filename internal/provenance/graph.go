@@ -27,25 +27,21 @@ type Config struct {
 	// BurstMaxEpochs: burst flows are short — present in at most this
 	// many epochs at the congested port.
 	BurstMaxEpochs int
-	// MaxReplay caps the queue-replay length per port-epoch; larger
-	// populations are proportionally subsampled.
-	MaxReplay int
-	// CongestedQdepthBytes: a port with no paused packets only counts as
-	// a congested wait-for target when its average queue depth reaches
-	// this bound. Filters trivially non-empty queues (e.g. host-facing
-	// ports draining normally) out of the port-level causality.
-	CongestedQdepthBytes float64
 }
+
+// congestedQdepthBytes: a port with no paused packets only counts as a
+// congested wait-for target when its average queue depth reaches this
+// bound. Filters trivially non-empty queues (e.g. host-facing ports
+// draining normally) out of the port-level causality.
+const congestedQdepthBytes float64 = 8192
 
 // DefaultConfig sizes burst classification for 100 Gbps links.
 func DefaultConfig(linkBps float64, epochNS int64) Config {
 	return Config{
-		LinkBandwidth:        linkBps,
-		EpochSizeNS:          epochNS,
-		BurstRateFrac:        0.15,
-		BurstMaxEpochs:       3,
-		MaxReplay:            20000,
-		CongestedQdepthBytes: 8192,
+		LinkBandwidth:  linkBps,
+		EpochSizeNS:    epochNS,
+		BurstRateFrac:  0.15,
+		BurstMaxEpochs: 3,
 	}
 }
 
@@ -665,7 +661,7 @@ func (g *Graph) buildPortEdges(views map[topo.NodeID]*reportView, t *topo.Topolo
 			}
 			// Only congested ports are wait-for targets: paused, or
 			// holding a substantial backlog.
-			if dstInfo.PausedSeverity() == 0 && dstInfo.Qdepth() < g.Cfg.CongestedQdepthBytes {
+			if dstInfo.PausedSeverity() == 0 && dstInfo.Qdepth() < congestedQdepthBytes {
 				continue
 			}
 			// A paused destination can have an empty queue (host PFC

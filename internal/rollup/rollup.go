@@ -58,8 +58,6 @@ type Config struct {
 	// UpdateEvery emits a live "updated" event every this many records
 	// folded into a pane (1 = every record; default amortizes).
 	UpdateEvery int
-	// SubBuf is the default subscriber channel depth.
-	SubBuf int
 }
 
 // DefaultConfig returns sizes suitable for tests and examples.
@@ -73,9 +71,11 @@ func DefaultConfig() Config {
 		MaxBuckets:   128,
 		MaxPaneBytes: 16 << 10,
 		UpdateEvery:  64,
-		SubBuf:       64,
 	}
 }
+
+// subBuf is the default subscriber channel depth.
+const subBuf = 64
 
 // maxEnumKeys caps the per-attribute count maps. Diagnosis enums are
 // single-digit cardinality; anything past the cap folds into "other"
@@ -129,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.UpdateEvery <= 0 {
 		c.UpdateEvery = d.UpdateEvery
-	}
-	if c.SubBuf <= 0 {
-		c.SubBuf = d.SubBuf
 	}
 	for worstPaneBytes(c.TopK, c.MaxBuckets) > c.MaxPaneBytes {
 		if c.MaxBuckets > 16 {
@@ -341,7 +338,7 @@ func New(cfg Config) *Summarizer {
 	return &Summarizer{
 		cfg:  cfg,
 		open: make(map[int64]*pane),
-		hub:  fleetstore.NewHub[Event](cfg.SubBuf),
+		hub:  fleetstore.NewHub[Event](subBuf),
 	}
 }
 

@@ -17,7 +17,7 @@ func chainWithSpiderMon(t *testing.T, cfg Config) (*cluster.Cluster, *topo.Dumbb
 		t.Fatal(err)
 	}
 	r := topo.ComputeRouting(d.Topology)
-	cl := cluster.New(d.Topology, r, cluster.DefaultConfig(d.Topology))
+	cl := cluster.New(d.Topology, r, cluster.DefaultConfig())
 	var triggers []Trigger
 	ins := InstallAll(cl.Switches, cfg, cl.Eng.Now, func(tr Trigger) { triggers = append(triggers, tr) })
 	return cl, d, ins, &triggers
@@ -131,11 +131,11 @@ func TestStormBlindness(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := topo.ComputeRouting(ft.Topology)
-	cl := cluster.New(ft.Topology, r, cluster.DefaultConfig(ft.Topology))
+	cl := cluster.New(ft.Topology, r, cluster.DefaultConfig())
 	var triggers []Trigger
 	InstallAll(cl.Switches, DefaultConfig(), cl.Eng.Now, func(tr Trigger) { triggers = append(triggers, tr) })
 
-	params := workload.DefaultParams(131072)
+	params := workload.Params{EpochSize: 131072}
 	gt := workload.BuildStorm(cl, ft, params)
 	cl.Run(gt.AnomalyAt + 10*sim.Millisecond)
 

@@ -41,18 +41,19 @@ type Config struct {
 	// status) on every switch but provisions the flow tables only on
 	// hot-spot switches such as ToRs.
 	FlowTelemetry bool
-	// DeepQdepthBytes: a (unpaused) enqueue only counts as contention
-	// evidence when the backlog it sees reaches this bound. One extra
-	// comparator in the pipeline; it keeps idle-era traffic from diluting
-	// the contention statistics of the epoch the anomaly starts in.
-	DeepQdepthBytes int
 }
+
+// deepQdepthBytes: a (unpaused) enqueue only counts as contention
+// evidence when the backlog it sees reaches this bound. One extra
+// comparator in the pipeline; it keeps idle-era traffic from diluting
+// the contention statistics of the epoch the anomaly starts in.
+const deepQdepthBytes int = 8192
 
 // DefaultConfig matches the paper's testbed defaults scaled to the
 // simulation: ~105 µs epochs, 4-epoch ring, 4096 flow slots.
 func DefaultConfig() Config {
 	return Config{EpochBits: 17, NumEpochs: 4, FlowSlots: 4096, Lookback: 2,
-		FlowTelemetry: true, DeepQdepthBytes: 8192}
+		FlowTelemetry: true}
 }
 
 // EpochSize returns the epoch duration.
@@ -326,7 +327,7 @@ func (s *State) OnEnqueue(ev device.EnqueueEvent) {
 	switch {
 	case ev.Paused:
 		slot.PausedCount++
-	case ev.QueueBytes >= s.Cfg.DeepQdepthBytes:
+	case ev.QueueBytes >= deepQdepthBytes:
 		slot.DeepCount++
 		slot.QdepthSum += q
 	}

@@ -60,19 +60,22 @@ func TestConfigValidate(t *testing.T) {
 func TestFlowAccumulation(t *testing.T) {
 	s, now := testState(t, smallCfg())
 	f := ft(1)
+	const deep = 2 * deepQdepthBytes
 	for i := 0; i < 5; i++ {
-		s.OnEnqueue(dataEvent(f, 2, 3, 1000, 4000, i%2 == 0, *now))
+		s.OnEnqueue(dataEvent(f, 2, 3, 1000, deep, i%2 == 0, *now))
 	}
+	// An unpaused enqueue below the deep bound is not contention evidence.
+	s.OnEnqueue(dataEvent(f, 2, 3, 1000, deepQdepthBytes-1, false, *now))
 	rep := s.Snapshot(1)
 	if len(rep.Epochs) != 1 || len(rep.Epochs[0].Flows) != 1 {
 		t.Fatalf("snapshot: %+v", rep.Epochs)
 	}
 	fr := rep.Epochs[0].Flows[0]
-	if fr.PktCount != 5 || fr.PausedCount != 3 || fr.Bytes != 5000 || fr.OutPort != 3 {
+	if fr.PktCount != 6 || fr.PausedCount != 3 || fr.DeepCount != 2 || fr.Bytes != 6000 || fr.OutPort != 3 {
 		t.Fatalf("flow record %+v", fr)
 	}
-	if fr.AvgQdepth() != 4000 {
-		t.Fatalf("avg qdepth %v, want 4000", fr.AvgQdepth())
+	if fr.AvgQdepth() != float64(deep) {
+		t.Fatalf("avg qdepth %v, want %v", fr.AvgQdepth(), deep)
 	}
 }
 

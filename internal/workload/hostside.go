@@ -52,12 +52,13 @@ func hostGT(name string, ft *topo.FatTree, p Params, cause diagnosis.CauseKind) 
 // installPathology arms the pathology on the sick host for the anomaly
 // window, deriving the pathology's jitter stream from the cluster seed
 // so a trial is reproducible from its seed alone.
-func installPathology(cl *cluster.Cluster, sick topo.NodeID, kind host.PathologyKind, gt *GroundTruth, p Params) {
-	cfg := host.DefaultPathologyConfig(kind)
-	cfg.Seed = cl.Cfg.Seed ^ (0x505AB10C00 + uint64(kind))
-	cfg.Start = gt.AnomalyAt
-	cfg.Stop = gt.AnomalyAt + p.InjectFor
-	cl.Hosts[sick].InstallPathology(cfg)
+func installPathology(cl *cluster.Cluster, sick topo.NodeID, kind host.PathologyKind, gt *GroundTruth) {
+	cl.Hosts[sick].InstallPathology(host.PathologyConfig{
+		Kind:  kind,
+		Seed:  cl.Cfg.Seed ^ (0x505AB10C00 + uint64(kind)),
+		Start: gt.AnomalyAt,
+		Stop:  gt.AnomalyAt + InjectFor,
+	})
 }
 
 // BuildSlowReceiver models the PCIe/DMA-bottlenecked endpoint: three
@@ -67,7 +68,7 @@ func installPathology(cl *cluster.Cluster, sick topo.NodeID, kind host.Pathology
 // storm whose true cause is the receiver.
 func BuildSlowReceiver(cl *cluster.Cluster, ft *topo.FatTree, p Params) *GroundTruth {
 	gt, sick := hostGT(NameSlowReceiver, ft, p, diagnosis.CauseSlowReceiver)
-	installPathology(cl, sick, host.PathologySlowReceiver, gt, p)
+	installPathology(cl, sick, host.PathologySlowReceiver, gt)
 	for _, src := range []topo.NodeID{ft.PodHosts[0][0], ft.PodHosts[0][1], ft.PodHosts[3][1]} {
 		f := cl.StartFlowRate(src, sick, 40_000_000, p.warmStart(), 25e9)
 		gt.Victims[f.Tuple] = true
@@ -83,7 +84,7 @@ func BuildSlowReceiver(cl *cluster.Cluster, ft *topo.FatTree, p Params) *GroundT
 // discriminant is the latency proxy and QP count in the host report.
 func BuildCacheThrash(cl *cluster.Cluster, ft *topo.FatTree, p Params) *GroundTruth {
 	gt, sick := hostGT(NameCacheThrash, ft, p, diagnosis.CauseHostProcessingBound)
-	installPathology(cl, sick, host.PathologyCacheThrash, gt, p)
+	installPathology(cl, sick, host.PathologyCacheThrash, gt)
 	srcs := []topo.NodeID{
 		ft.PodHosts[0][0], ft.PodHosts[0][1], ft.PodHosts[0][2],
 		ft.PodHosts[3][0], ft.PodHosts[3][1], ft.PodHosts[3][2],
@@ -102,7 +103,7 @@ func BuildCacheThrash(cl *cluster.Cluster, ft *topo.FatTree, p Params) *GroundTr
 // separates it from the legitimate backpressure of the other two.
 func BuildHostPauseStorm(cl *cluster.Cluster, ft *topo.FatTree, p Params) *GroundTruth {
 	gt, sick := hostGT(NameHostPauseStorm, ft, p, diagnosis.CauseHostPauseStorm)
-	installPathology(cl, sick, host.PathologyPauseStorm, gt, p)
+	installPathology(cl, sick, host.PathologyPauseStorm, gt)
 	for _, src := range []topo.NodeID{ft.PodHosts[0][0], ft.PodHosts[0][1], ft.PodHosts[3][1]} {
 		f := cl.StartFlowRate(src, sick, 40_000_000, p.warmStart(), 25e9)
 		gt.Victims[f.Tuple] = true

@@ -57,34 +57,23 @@ type Params struct {
 	// EpochSize aligns burst starts to telemetry epoch boundaries
 	// (Fig. 7 sweeps this; alignment is part of the epoch-size effect).
 	EpochSize sim.Time
-	// AnomalyEpoch is the epoch index in which the anomaly fires.
-	AnomalyEpoch int
-	// BurstBytes is the size of one micro-burst flow.
-	BurstBytes int64
-	// BurstRounds repeats the synchronized bursts to keep backpressure
-	// alive long enough for detection.
-	BurstRounds int
-	// InjectFor is the PFC injection duration.
-	InjectFor sim.Time
-	// WarmUp is how long before the anomaly the victim flows start, so
-	// their RTT baselines exist when the anomaly hits.
-	WarmUp sim.Time
-	// Horizon is the trace length (used to size long-lived flows).
-	Horizon sim.Time
 }
 
-// DefaultParams returns the defaults used across the evaluation.
-func DefaultParams(epoch sim.Time) Params {
-	return Params{
-		EpochSize:    epoch,
-		AnomalyEpoch: 2,
-		BurstBytes:   512_000,
-		BurstRounds:  2,
-		InjectFor:    20 * sim.Millisecond,
-		WarmUp:       300 * sim.Microsecond,
-		Horizon:      20 * sim.Millisecond,
-	}
-}
+// Scenario constants shared across the evaluation.
+const (
+	// anomalyEpoch is the epoch index in which the anomaly fires.
+	anomalyEpoch int = 2
+	// BurstBytes is the size of one micro-burst flow.
+	BurstBytes int64 = 512_000
+	// burstRounds repeats the synchronized bursts to keep backpressure
+	// alive long enough for detection.
+	burstRounds int = 2
+	// InjectFor is the PFC injection duration.
+	InjectFor sim.Time = 20 * sim.Millisecond
+	// warmUp is how long before the anomaly the victim flows start, so
+	// their RTT baselines exist when the anomaly hits.
+	warmUp sim.Time = 300 * sim.Microsecond
+)
 
 // AnomalyStart aligns the anomaly to just past an epoch boundary — the
 // first boundary that leaves room for the warm-up. Alignment matters:
@@ -92,8 +81,8 @@ func DefaultParams(epoch sim.Time) Params {
 // pre-anomaly traffic, diluting the recorded queue depths (the epoch-size
 // sensitivity Fig. 7 studies).
 func (p Params) AnomalyStart() sim.Time {
-	epoch := sim.Time(p.AnomalyEpoch)
-	for epoch*p.EpochSize < p.WarmUp {
+	epoch := sim.Time(anomalyEpoch)
+	for epoch*p.EpochSize < warmUp {
 		epoch++
 	}
 	return epoch*p.EpochSize + sim.Microsecond
@@ -103,10 +92,10 @@ func (p Params) AnomalyStart() sim.Time {
 // baselines, late enough to still be running when the anomaly fires.
 func (p Params) warmStart() sim.Time {
 	at := p.AnomalyStart()
-	if at <= p.WarmUp {
+	if at <= warmUp {
 		return 0
 	}
-	return at - p.WarmUp
+	return at - warmUp
 }
 
 // Scenario names.
@@ -213,7 +202,7 @@ func BuildIncast(cl *cluster.Cluster, ft *topo.FatTree, p Params) *GroundTruth {
 	// from each remote pod, so the incast converges through both of the
 	// target edge's uplinks.
 	for _, src := range []topo.NodeID{sibling, ft.PodHosts[2][2], ft.PodHosts[2][3]} {
-		b := cl.StartFlow(src, target, 2*p.BurstBytes, gt.AnomalyAt)
+		b := cl.StartFlow(src, target, 2*BurstBytes, gt.AnomalyAt)
 		gt.Culprits[b.Tuple] = true
 		pathSwitches(cl, b, target, gt.CausalSwitches)
 	}
@@ -234,7 +223,7 @@ func BuildStorm(cl *cluster.Cluster, ft *topo.FatTree, p Params) *GroundTruth {
 		Victims:         make(map[packet.FiveTuple]bool),
 		AnomalyAt:       p.AnomalyStart(),
 	}
-	cl.Hosts[rogue].InjectPFC(gt.AnomalyAt, gt.AnomalyAt+p.InjectFor, packet.MaxPauseQuanta)
+	cl.Hosts[rogue].InjectPFC(gt.AnomalyAt, gt.AnomalyAt+InjectFor, packet.MaxPauseQuanta)
 
 	// Traffic toward the rogue from two pods, rate-capped so their sum
 	// stays below the rogue's link: without the injection there is NO
@@ -383,7 +372,7 @@ func BuildInLoopDeadlock(cl *cluster.Cluster, ft *topo.FatTree, p Params) *Groun
 	// enough for the pause cycle to close, short enough to be
 	// "short-duration flow contention" (§2.1).
 	for i, src := range burstSrcs {
-		b := cl.StartFlow(src, burstDsts[i], 2*p.BurstBytes, gt.AnomalyAt)
+		b := cl.StartFlow(src, burstDsts[i], 2*BurstBytes, gt.AnomalyAt)
 		gt.Culprits[b.Tuple] = true
 		pathSwitches(cl, b, burstDsts[i], gt.CausalSwitches)
 	}
@@ -406,7 +395,7 @@ func BuildOutLoopInjection(cl *cluster.Cluster, ft *topo.FatTree, p Params) *Gro
 	}
 	gt.ScoreAfter = gt.AnomalyAt + 300*sim.Microsecond
 	buildCBD(cl, ft, 40e9, cycleFlowBytes, gt)
-	cl.Hosts[rogue].InjectPFC(gt.AnomalyAt, gt.AnomalyAt+p.InjectFor, packet.MaxPauseQuanta)
+	cl.Hosts[rogue].InjectPFC(gt.AnomalyAt, gt.AnomalyAt+InjectFor, packet.MaxPauseQuanta)
 	return gt
 }
 
@@ -440,7 +429,7 @@ func BuildOutLoopContention(cl *cluster.Cluster, ft *topo.FatTree, p Params) *Gr
 	gt.Culprits[long.Tuple] = true
 	pathSwitches(cl, long, target, gt.CausalSwitches)
 	for _, src := range []topo.NodeID{ft.PodHosts[3][1], ft.PodHosts[3][3]} {
-		b := cl.StartFlow(src, target, 8*p.BurstBytes, gt.AnomalyAt)
+		b := cl.StartFlow(src, target, 8*BurstBytes, gt.AnomalyAt)
 		gt.Culprits[b.Tuple] = true
 		pathSwitches(cl, b, target, gt.CausalSwitches)
 	}
@@ -471,7 +460,7 @@ func BuildNormalContention(cl *cluster.Cluster, ft *topo.FatTree, p Params) *Gro
 	// the (deep-buffer) Xoff — contention without a single PFC frame.
 	// Remote senders would be smeared by the fabric before reaching the
 	// port, so the sibling is the honest culprit here.
-	for round := 0; round < p.BurstRounds+1; round++ {
+	for round := 0; round < burstRounds+1; round++ {
 		at := gt.AnomalyAt + sim.Time(round)*p.EpochSize
 		b := cl.StartFlow(ft.PodHosts[2][1], target, 600_000, at)
 		gt.Culprits[b.Tuple] = true

@@ -78,7 +78,7 @@ func TestBackgroundLoadScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := topo.ComputeRouting(ft.Topology)
-	cl := cluster.New(ft.Topology, r, cluster.DefaultConfig(ft.Topology))
+	cl := cluster.New(ft.Topology, r, cluster.DefaultConfig())
 	bg := &Background{Load: 0.1, CDF: PaperCDF(DefaultScaleDivisor), Start: 0, Stop: 10 * sim.Millisecond}
 	n := bg.Install(cl, sim.NewRand(3))
 	if n == 0 {
@@ -90,7 +90,7 @@ func TestBackgroundLoadScaling(t *testing.T) {
 		t.Fatalf("flow count %d, expected ~%.0f", n, expected)
 	}
 	// Double load, roughly double flows.
-	cl2 := cluster.New(ft.Topology, r, cluster.DefaultConfig(ft.Topology))
+	cl2 := cluster.New(ft.Topology, r, cluster.DefaultConfig())
 	bg2 := &Background{Load: 0.2, CDF: bg.CDF, Start: 0, Stop: 10 * sim.Millisecond}
 	n2 := bg2.Install(cl2, sim.NewRand(3))
 	if float64(n2) < 1.5*float64(n) {
@@ -119,8 +119,8 @@ func TestScenarioGroundTruthShape(t *testing.T) {
 	for _, name := range AllScenarios() {
 		build, _ := ByName(name)
 		r := topo.ComputeRouting(ft.Topology)
-		cl := cluster.New(ft.Topology, r, cluster.DefaultConfig(ft.Topology))
-		gt := build(cl, ft, DefaultParams(131072))
+		cl := cluster.New(ft.Topology, r, cluster.DefaultConfig())
+		gt := build(cl, ft, Params{EpochSize: 131072})
 		if gt.Scenario != name {
 			t.Errorf("%s: scenario label %q", name, gt.Scenario)
 		}
@@ -147,13 +147,13 @@ func TestScenarioGroundTruthShape(t *testing.T) {
 }
 
 func TestAnomalyStartEpochAligned(t *testing.T) {
-	p := DefaultParams(131072)
+	p := Params{EpochSize: 131072}
 	at := p.AnomalyStart()
 	if (at-sim.Microsecond)%131072 != 0 {
 		t.Fatalf("anomaly start %v not epoch-aligned", at)
 	}
-	if at <= p.WarmUp {
-		t.Fatalf("anomaly start %v before warm-up end %v", at, p.WarmUp)
+	if at <= warmUp {
+		t.Fatalf("anomaly start %v before warm-up end %v", at, warmUp)
 	}
 	if p.warmStart() >= at {
 		t.Fatal("warm start after anomaly")
@@ -165,9 +165,9 @@ func TestCBDMisconfigurationCreatesValley(t *testing.T) {
 	// cycle flow's path revisits the core layer.
 	ft, _ := topo.NewFatTree(4)
 	r := topo.ComputeRouting(ft.Topology)
-	cl := cluster.New(ft.Topology, r, cluster.DefaultConfig(ft.Topology))
+	cl := cluster.New(ft.Topology, r, cluster.DefaultConfig())
 	build, _ := ByName(NameInLoop)
-	gt := build(cl, ft, DefaultParams(131072))
+	gt := build(cl, ft, Params{EpochSize: 131072})
 	cores := map[topo.NodeID]bool{}
 	for _, c := range ft.Core {
 		cores[c] = true
