@@ -104,11 +104,13 @@ chaos-smoke:
 # crash-restart sweep over the durable fleet store under the race
 # detector (torn WAL tails, snapshot+delta recovery, exactly-once
 # acked records, no incident-ID reuse), plus the WAL corruption and
-# server lifecycle suites.
+# server lifecycle suites and the differential proof that every way a
+# record enters the store (pipeline, Add, AddUnique, WAL replay,
+# snapshot restore) yields the same incidents and rollup panes.
 recovery-smoke:
 	$(call run-tests,TestCrashRestart,-race ./internal/chaos -crash.seeds=20)
 	$(GO) test -race ./internal/fleetstore/wal
-	$(call run-tests,TestOpen|TestReopen|TestCheckpoint|TestSnapshot|TestEviction|TestReplay,-race ./internal/fleetstore)
+	$(call run-tests,TestOpen|TestReopen|TestCheckpoint|TestSnapshot|TestEviction|TestReplay|TestAdmissionDoorsAgree,-race ./internal/fleetstore)
 	$(call run-tests,TestShed|TestThrottle|TestClose|TestDrain|TestHealth|TestServerRestart,-race ./internal/analyzd)
 
 # fuzz-smoke runs every native fuzz target for 10s over the committed
@@ -144,7 +146,9 @@ host-smoke:
 # consistent-hash ring and acknowledged only when the follower holds
 # them durably, a seed-chosen primary killed and its follower promoted
 # every round — asserting no acked record lost, deterministic routing,
-# and front-door rollup merges identical to a single-store reference.
+# promoted shards' incidents identical to an in-memory store fed the
+# same acked records, and front-door rollup merges identical to a
+# single-store reference.
 # The ring/follower/frontdoor suites ride along.
 cluster-smoke:
 	$(call run-tests,TestKillLoop,-race ./internal/fleet -fleet.seeds=20)
@@ -159,11 +163,12 @@ cluster-smoke:
 # partition to prove the fence: zero post-fence acks, exactly-once
 # acked records across moves and failovers, and front-door rollup
 # merges identical to a single-store reference. The writer, executor
-# and epoch suites ride along.
+# and epoch suites ride along, with the store-level refusal of a write
+# to a released fabric.
 reshard-smoke:
 	$(call run-tests,TestReshardLoop,-race ./internal/fleet -fleet.reshard.seeds=20)
 	$(call run-tests,TestWriter|TestExecutor|TestShardPool|TestDoubleFailover,-race ./internal/fleet)
-	$(call run-tests,TestEpoch|TestAddUnique|TestFreeze|TestPurgeAdopt,-race ./internal/fleetstore)
+	$(call run-tests,TestEpoch|TestAddUnique|TestAddUniqueRefusesReleasedFabric|TestFreeze|TestPurgeAdopt,-race ./internal/fleetstore)
 
 # rollup-smoke proves the summarization contract end to end: the
 # three-fabric example must produce a rollup stream >= 10x quieter than

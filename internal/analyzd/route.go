@@ -30,9 +30,10 @@ func (s *Server) fenceInfo() wire.FenceInfo {
 // refuse all ingest with wire.MsgFence.
 func (s *Server) fenced() bool { return s.fleet.FencedBy() != 0 }
 
-// serveWrite handles one writer-routed record (MsgWriteRecord):
-// fencing and moved-out checks, idempotent admission keyed by
-// fabric+OriginSeq, then a semi-sync follower wait before the ack.
+// serveWrite handles one writer-routed record (MsgWriteRecord): the
+// fencing check, idempotent admission keyed by fabric+OriginSeq (which
+// also refuses a fabric this shard no longer owns), then a semi-sync
+// follower wait before the ack.
 func (s *Server) serveWrite(sess *session, payload []byte) bool {
 	wr, err := wire.ParseWriteRequest(payload)
 	if err != nil {
@@ -51,12 +52,6 @@ func (s *Server) serveWrite(sess *session, payload []byte) bool {
 		sess.sendErr("shard draining: ingest refused")
 		return false
 	}
-	if s.fleet.MovedOut(wr.Fabric) {
-		_ = sess.writeJSON(wire.MsgFence, wire.FenceInfo{
-			Shard: s.shard, Epoch: s.fleet.Epoch(), Moved: true, Fabric: wr.Fabric,
-		})
-		return true
-	}
 	var rec fleetstore.Record
 	if err := json.Unmarshal(wr.Record, &rec); err != nil {
 		return s.badPayload(sess, err)
@@ -67,8 +62,8 @@ func (s *Server) serveWrite(sess *session, payload []byte) bool {
 	admitted, outcome := s.fleet.AddUnique(rec)
 	switch outcome {
 	case fleetstore.AdmitFrozen:
-		// Sealed mid-cutover: the same refusal as moved-out — the writer
-		// holds on its reshard state and re-resolves the owner.
+		// Sealed mid-cutover or released: the writer holds on its
+		// reshard state and re-resolves the owner.
 		_ = sess.writeJSON(wire.MsgFence, wire.FenceInfo{
 			Shard: s.shard, Epoch: s.fleet.Epoch(), Moved: true, Fabric: wr.Fabric,
 		})

@@ -33,6 +33,9 @@ func TestKillLoop(t *testing.T) {
 // checked every failover and at the end:
 //
 //   - no acknowledged record is lost or duplicated across a promotion;
+//   - a promoted shard's open and resolved incidents equal those of an
+//     in-memory store fed the shard's acked records in ack order, and
+//     none is left open past its join window;
 //   - routing is deterministic: an independently built ring agrees on
 //     every fabric's owner;
 //   - the front door's cross-shard rollup merge is identical to a
@@ -58,7 +61,7 @@ func killLoop(t *testing.T, seed uint64) {
 				tr.fatalf("rings disagree on %s: %s vs %s", rec.Fabric, owner, got)
 			}
 			got := tr.shards[owner].srv.Fleet().Add(rec)
-			tr.ack(&got, got.Seq)
+			tr.ack(&got)
 			maxSeq[owner] = max(maxSeq[owner], got.Seq)
 		}
 		// Semi-sync barrier: the follower's watermark is contiguous, so
@@ -71,8 +74,10 @@ func killLoop(t *testing.T, seed uint64) {
 
 		tr.maybeCheckpoint()
 		name := tr.killAndPromote()
-		// The promoted store must hold exactly the acknowledged set.
+		// The promoted store must hold exactly the acknowledged set, and
+		// the incidents those records make in ack order.
 		tr.checkAcked(name)
+		tr.checkIncidents(name)
 		tr.attachFollower(name)
 	}
 
@@ -92,11 +97,11 @@ func killLoop(t *testing.T, seed uint64) {
 		resyncs += sh.fl.Resyncs()
 	}
 	rep := fmt.Sprintf("killloop: shards=%d rounds=%d acked=%d failovers=%d snapshots=%d resyncs=%d windows=%d",
-		trialShards, tr.rounds, tr.acks, tr.failovers, snapshots, resyncs, windows)
+		trialShards, tr.rounds, len(tr.acked), tr.failovers, snapshots, resyncs, windows)
 	if tr.failovers != tr.rounds {
 		t.Fatalf("%d failovers over %d rounds: %s", tr.failovers, tr.rounds, rep)
 	}
-	if tr.acks == 0 || windows == 0 {
+	if len(tr.acked) == 0 || windows == 0 {
 		t.Fatalf("degenerate trial: %s", rep)
 	}
 	t.Log(rep)

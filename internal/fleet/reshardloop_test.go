@@ -98,7 +98,7 @@ func reshardLoop(t *testing.T, seed uint64) {
 			if ack.Duplicate {
 				dups++
 			}
-			tr.ack(&rec, 0)
+			tr.ack(&rec)
 		}
 		return nil
 	}
@@ -203,7 +203,7 @@ func reshardLoop(t *testing.T, seed uint64) {
 	windows := tr.checkFrontdoor(fd)
 
 	rep := fmt.Sprintf("reshardloop: shards=%d rounds=%d acked=%d dup=%d failovers=%d fenced=%d moves=%d copied=%d reroutes=%d windows=%d",
-		trialShards, tr.rounds, tr.acks, dups, tr.failovers, fenced, moves, copied, writer.Reroutes.Load(), windows)
+		trialShards, tr.rounds, len(tr.acked), dups, tr.failovers, fenced, moves, copied, writer.Reroutes.Load(), windows)
 	if tr.failovers != tr.rounds {
 		t.Fatalf("%d failovers over %d rounds: %s", tr.failovers, tr.rounds, rep)
 	}
@@ -215,7 +215,7 @@ func reshardLoop(t *testing.T, seed uint64) {
 	if moves == 0 {
 		t.Fatalf("reshard moved nothing: %s", rep)
 	}
-	if tr.acks == 0 || windows == 0 {
+	if len(tr.acked) == 0 || windows == 0 {
 		t.Fatalf("degenerate trial: %s", rep)
 	}
 	t.Log(rep)

@@ -2,9 +2,9 @@ package fleet
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -39,6 +39,7 @@ const (
 // check), snapshots only when the trial ships one deliberately.
 func killLoopStoreCfg() fleetstore.Config {
 	return fleetstore.Config{
+		Window:        2 * sim.Millisecond,
 		Shards:        4,
 		ShardCapacity: 1 << 14,
 		ResolvedKeep:  1 << 14,
@@ -88,12 +89,12 @@ type trial struct {
 	recs              recordStream
 	rounds, round     int
 
-	// acked maps fabric -> victim -> acked seq (0 = any seq); reference
-	// observes every acked record, the single-store ground truth the
-	// front door's merged rollups must equal.
-	acked     map[string]map[string]uint64
+	// acked holds every acked record in ack order, its Seq the acked
+	// seq (0 = any seq); reference observes every acked record, the
+	// single-store ground truth the front door's merged rollups must
+	// equal.
+	acked     []fleetstore.Record
 	reference *rollup.Summarizer
-	acks      int
 	failovers int
 	// snapshots and resyncs total the counters of stopped followers.
 	snapshots, resyncs uint64
@@ -108,7 +109,6 @@ func newTrial(t *testing.T, seed, salt uint64, semiSync time.Duration) *trial {
 	tr := &trial{
 		t: t, dir: t.TempDir(), semiSync: semiSync,
 		shards:    make(map[string]*liveShard, trialShards),
-		acked:     make(map[string]map[string]uint64),
 		reference: rollup.New(killLoopRollupCfg()),
 	}
 	tr.rngBatch = root.Fork()
@@ -237,31 +237,76 @@ func (tr *trial) specs() []ShardSpec {
 	return specs
 }
 
-// ack records rec as acknowledged with seq (0 = any seq).
-func (tr *trial) ack(rec *fleetstore.Record, seq uint64) {
-	victims := tr.acked[rec.Fabric]
-	if victims == nil {
-		victims = make(map[string]uint64)
-		tr.acked[rec.Fabric] = victims
-	}
-	victims[rec.Victim] = seq
+// ack records rec as acknowledged with rec.Seq (0 = any seq).
+func (tr *trial) ack(rec *fleetstore.Record) {
+	tr.acked = append(tr.acked, *rec)
 	tr.reference.ObserveRecord(rec)
-	tr.acks++
 }
 
 // checkAcked runs the exactly-once oracle on name's primary: it holds
-// every acked victim whose fabric it owns under the current ring.
+// every acked victim whose fabric it owns under the current ring. It
+// also runs the watermark oracle: no incident is left open past its
+// join window.
 func (tr *trial) checkAcked(name string) {
 	tr.t.Helper()
 	want := make(map[string]uint64)
-	for fabric, victims := range tr.acked {
-		if tr.ring.Owner(fabric) == name {
-			maps.Copy(want, victims)
+	for _, rec := range tr.acked {
+		if tr.ring.Owner(rec.Fabric) == name {
+			want[rec.Victim] = rec.Seq
 		}
 	}
-	if err := checkRecords(tr.shards[name].srv.Fleet(), want); err != nil {
+	st := tr.shards[name].srv.Fleet()
+	if err := checkRecords(st, want); err != nil {
 		tr.fatalf("shard %s: %v", name, err)
 	}
+	if err := checkSwept(st, killLoopStoreCfg().Window); err != nil {
+		tr.fatalf("shard %s: %v", name, err)
+	}
+}
+
+// checkIncidents requires name's primary to hold the incidents an
+// in-memory store reaches from the records acked to it, in ack order:
+// the same IDs, members, spans and resolutions, however many crashes
+// and promotions the shard has been through.
+func (tr *trial) checkIncidents(name string) {
+	tr.t.Helper()
+	ref := fleetstore.New(killLoopStoreCfg())
+	for _, rec := range tr.acked {
+		if tr.ring.Owner(rec.Fabric) == name {
+			ref.Add(rec)
+		}
+	}
+	if got, want := incidentLines(tr.shards[name].srv.Fleet()), incidentLines(ref); !slices.Equal(got, want) {
+		tr.fatalf("shard %s incidents differ from the in-memory reference:\n got %v\nwant %v", name, got, want)
+	}
+}
+
+// incidentLines renders st's incidents, open and resolved, one line
+// each in the store's order.
+func incidentLines(st *fleetstore.Store) []string {
+	incs := st.Incidents(fleetstore.Query{Node: fleetstore.AnyNode})
+	out := make([]string, len(incs))
+	for i, inc := range incs {
+		out[i] = fmt.Sprintf("#%d %v..%v %v resolved=%v", inc.ID, inc.First, inc.Last, inc.Victims, inc.Resolved)
+	}
+	return out
+}
+
+// checkSwept is the watermark oracle: every admission sweeps at the
+// watermark it leaves behind, so no open incident's join window lies
+// wholly below the highest trigger time st holds.
+func checkSwept(st *fleetstore.Store, window sim.Time) error {
+	recs := st.Records(fleetstore.Query{Node: fleetstore.AnyNode})
+	if len(recs) == 0 {
+		return nil
+	}
+	wm := recs[len(recs)-1].At
+	for _, inc := range st.Incidents(fleetstore.Query{Node: fleetstore.AnyNode}) {
+		if !inc.Resolved && inc.Last+window < wm {
+			return fmt.Errorf("incident #%d still open, last trigger %v, window passed at watermark %v", inc.ID, inc.Last, wm)
+		}
+	}
+	return nil
 }
 
 // checkFrontdoor queries fd cluster-wide: merged incidents come out in

@@ -73,24 +73,44 @@ func TestClusterOutOfOrderExtendsFirst(t *testing.T) {
 
 func TestSweepResolvesAndRetains(t *testing.T) {
 	st := New(Config{Window: sim.Millisecond})
+	storm := Query{Node: 5}
 	st.Add(rec("pod-a", 100, "v1", diagnosis.TypePFCStorm, 5))
-	st.Sweep(200) // window not yet passed
-	if c := st.CountersSnapshot(); c.OpenIncidents != 1 {
-		t.Fatalf("open = %d after early sweep, want 1", c.OpenIncidents)
+	// A complaint elsewhere moves the watermark to 200: the window has
+	// not passed.
+	st.Add(rec("pod-b", 200, "w1", diagnosis.TypePFCContention, 9))
+	if incs := st.Incidents(storm); len(incs) != 1 || incs[0].Resolved {
+		t.Fatalf("storm incident after an early watermark: %+v, want one open", incs)
 	}
-	st.Sweep(100 + 2*sim.Millisecond)
+	// One past 100+window resolves both earlier incidents on admission.
+	st.Add(rec("pod-b", 100+2*sim.Millisecond, "w2", diagnosis.TypePFCContention, 9))
 	c := st.CountersSnapshot()
-	if c.OpenIncidents != 0 || c.Incidents != 1 {
-		t.Fatalf("open=%d total=%d after sweep, want 0/1", c.OpenIncidents, c.Incidents)
+	if c.OpenIncidents != 1 || c.Incidents != 3 {
+		t.Fatalf("open=%d total=%d after the watermark passed, want 1/3", c.OpenIncidents, c.Incidents)
 	}
-	incs := st.Incidents(Query{Node: AnyNode})
+	incs := st.Incidents(storm)
 	if len(incs) != 1 || !incs[0].Resolved {
 		t.Fatalf("resolved incident not queryable: %+v", incs)
 	}
 	// A fresh complaint after resolution opens a new incident.
 	st.Add(rec("pod-a", 100+3*sim.Millisecond, "v1", diagnosis.TypePFCStorm, 5))
-	if incs := st.Incidents(Query{Node: AnyNode}); len(incs) != 2 {
+	if incs := st.Incidents(storm); len(incs) != 2 {
 		t.Fatalf("incidents = %d after reopen, want 2", len(incs))
+	}
+}
+
+// TestLateComplaintResolvesOnAdmission: a complaint that arrives
+// already past its join window does not move the watermark, so its own
+// admission sweeps: the incident it opens resolves at once instead of
+// staying open until a later record moves the watermark.
+func TestLateComplaintResolvesOnAdmission(t *testing.T) {
+	st := New(Config{Window: sim.Millisecond})
+	st.Add(rec("pod-a", 10*sim.Millisecond, "v1", diagnosis.TypePFCStorm, 5))
+	st.Add(rec("pod-b", 5*sim.Millisecond, "w1", diagnosis.TypePFCContention, 9))
+	if incs := st.Incidents(Query{Node: 9}); len(incs) != 1 || !incs[0].Resolved {
+		t.Fatalf("late complaint's incident %+v, want one resolved", incs)
+	}
+	if c := st.CountersSnapshot(); c.OpenIncidents != 1 {
+		t.Fatalf("open = %d, want only the storm incident", c.OpenIncidents)
 	}
 }
 

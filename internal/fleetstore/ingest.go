@@ -3,16 +3,14 @@ package fleetstore
 import (
 	"sync"
 	"sync/atomic"
-
-	"hawkeye/internal/sim"
 )
 
 // Pipeline is the store's concurrent ingest front: a bounded queue in
 // front of a worker pool, so a complaint storm from many fabric
 // sessions degrades by shedding load (with accounting) instead of
 // blocking the sessions mid-protocol. Offer never blocks; the workers
-// do the store insertion, clustering, event publication and watermark
-// sweeping off the session goroutines.
+// run the store's admission (insertion, clustering, event publication,
+// watermark sweeping) off the session goroutines.
 type Pipeline struct {
 	st      *Store
 	ch      chan Record
@@ -29,10 +27,6 @@ type Pipeline struct {
 	pendMu   sync.Mutex
 	pendCond *sync.Cond
 	pending  int
-
-	// watermark is the highest trigger time processed (for sweeping).
-	wmMu      sync.Mutex
-	watermark sim.Time
 }
 
 // NewPipeline starts workers draining into st. depth <= 0 defaults to
@@ -106,23 +100,7 @@ func (p *Pipeline) worker() {
 
 func (p *Pipeline) process(rec Record) {
 	p.st.Add(rec)
-	p.advance(rec.At)
 	p.unpend()
-}
-
-// advance moves the watermark and sweeps resolved incidents when it
-// moves forward. Out-of-order records never move it backwards.
-func (p *Pipeline) advance(at sim.Time) {
-	p.wmMu.Lock()
-	moved := at > p.watermark
-	if moved {
-		p.watermark = at
-	}
-	wm := p.watermark
-	p.wmMu.Unlock()
-	if moved {
-		p.st.Sweep(wm)
-	}
 }
 
 // Drain blocks until every record accepted so far has been processed.

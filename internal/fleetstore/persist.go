@@ -176,12 +176,13 @@ func (st *Store) restore(payload []byte) error {
 	}
 	st.originMu.Unlock()
 
-	// Re-insert retained records in admission order. Cluster state came
-	// from the snapshot, so this only rebuilds the rings — including
-	// evicting (with membership withdrawal) if the new config retains
-	// less than the snapshot held. The observer sees each record again
-	// so observer-side state (rollup windows) recovers with the store;
-	// WAL entries past the snapshot flow through insert as usual.
+	// Re-insert retained records in admission order. Cluster state and
+	// the watermark came from the snapshot — a consistent cut, taken
+	// under the admission gate after every sweep its records triggered
+	// — so this only rebuilds the rings, including evicting (with
+	// membership withdrawal) if the new config retains less than the
+	// snapshot held. WAL entries past the snapshot flow through insert
+	// as usual.
 	//
 	// Admission order is not trigger-time order once a reshard copy has
 	// landed (copies carry old trigger times behind newer records), and
@@ -191,10 +192,7 @@ func (st *Store) restore(payload []byte) error {
 	for i := range ps.Entries {
 		pe := &ps.Entries[i]
 		st.noteOrigin(&pe.Rec)
-		if old, evicted := st.shardFor(pe.Rec.Fabric, pe.Rec.At).add(entry{rec: pe.Rec, inc: pe.Inc}, st.cfg.ShardCapacity); evicted {
-			st.evicted.Add(1)
-			st.cl.evict(old.inc, &old.rec)
-		}
+		st.retain(entry{rec: pe.Rec, inc: pe.Inc})
 	}
 	st.rebuildObserver()
 	return nil

@@ -116,8 +116,8 @@ func TestOpenSnapshotPlusWALDelta(t *testing.T) {
 }
 
 // TestReopenResolvedIncidentsStayResolved: an incident swept resolved
-// before the crash must come back resolved (the reopened store sweeps
-// to the recovered watermark), and its ID must not be reused.
+// before the crash must come back resolved (replay re-runs the sweep
+// its admission ran), and its ID must not be reused.
 func TestReopenResolvedIncidentsStayResolved(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg()
@@ -128,10 +128,9 @@ func TestReopenResolvedIncidentsStayResolved(t *testing.T) {
 	}
 	st.Add(rec("pod-a", 100, "v1", diagnosis.TypePFCStorm, 5))
 	st.Add(rec("pod-a", 120, "v2", diagnosis.TypePFCStorm, 5))
-	// A much later record moves the watermark past 120+50 and the sweep
-	// resolves the first incident.
+	// A much later record moves the watermark past 120+50, and its
+	// admission sweeps the first incident resolved.
 	st.Add(rec("pod-a", 1000, "v3", diagnosis.TypePFCStorm, 5))
-	st.Sweep(1000)
 	st.Abort()
 
 	st2, err := Open(dir, cfg)

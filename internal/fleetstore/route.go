@@ -155,23 +155,25 @@ const (
 	// AdmitDuplicate: the record's OriginSeq is at or below the
 	// fabric's watermark — a resend whose original landed.
 	AdmitDuplicate
-	// AdmitFrozen: the fabric is sealed mid-cutover; the writer must
-	// hold and re-resolve ownership.
+	// AdmitFrozen: the fabric is sealed mid-cutover or already released
+	// to another shard; the writer must hold and re-resolve ownership.
 	AdmitFrozen
 )
 
 // AddUnique admits a writer-routed record exactly once: a record whose
 // OriginSeq is at or below the fabric's admitted watermark is refused
-// as a duplicate without touching the store. The freeze check, the
-// watermark reservation and the admission all happen under one
-// admission-gate hold, so a record racing FreezeFabric either lands
-// before the seal (and is visible to the cutover dump) or is refused —
-// never both, never neither. Records without an OriginSeq have no
-// dedup key and admit unconditionally (at-least-once).
+// as a duplicate without touching the store. The ownership check
+// (frozen or moved out), the watermark reservation and the admission
+// all happen under one admission-gate hold, so a record racing
+// FreezeFabric or PurgeFabric either lands before the seal (and is
+// visible to the cutover dump) or is refused — never both, never
+// neither. Records without an OriginSeq have no dedup key and admit
+// unconditionally (at-least-once).
 func (st *Store) AddUnique(rec Record) (Record, AdmitOutcome) {
 	st.gate.RLock()
 	st.originMu.Lock()
-	if _, sealed := st.frozen[rec.Fabric]; sealed {
+	_, sealed := st.frozen[rec.Fabric]
+	if _, moved := st.movedOut[rec.Fabric]; sealed || moved {
 		st.originMu.Unlock()
 		st.gate.RUnlock()
 		return Record{}, AdmitFrozen
@@ -253,33 +255,25 @@ func (st *Store) AdoptFabric(fabric string) error {
 	return st.appendCtrl(fabric, ctrlAdopt)
 }
 
-// appendCtrl stamps, logs, replicates and applies one control record
-// under the admission gate's write lock — the same consistent-cut
-// discipline Checkpoint uses, so the tombstone lands at an exact point
-// in the admission order on every replica.
+// appendCtrl admits one control record under the admission gate's
+// write lock — the same consistent-cut discipline Checkpoint uses, so
+// the tombstone lands at an exact point in the admission order on
+// every replica. Unlike a data record, a tombstone that cannot be made
+// durable fails the cutover instead of degrading to memory.
 func (st *Store) appendCtrl(fabric, kind string) error {
 	st.gate.Lock()
 	defer st.gate.Unlock()
-	rec := Record{Fabric: fabric, Ctrl: kind, Seq: st.seq.Add(1)}
-	if st.log != nil {
-		payload, err := encodeRecord(&rec)
-		if err != nil {
-			return err
-		}
-		if err := st.log.Append(rec.Seq, payload); err != nil {
-			return fmt.Errorf("fleetstore: %s tombstone: %w", kind, err)
-		}
-		if st.repl.count.Load() != 0 {
-			st.repl.publish(ReplEntry{Seq: rec.Seq, Payload: payload})
-		}
+	rec := Record{Fabric: fabric, Ctrl: kind}
+	if err := st.logLocked(&rec); err != nil {
+		return fmt.Errorf("fleetstore: %s tombstone: %w", kind, err)
 	}
-	st.applyCtrl(&rec)
+	st.insert(rec)
 	st.ingested.Add(1)
 	return nil
 }
 
-// applyCtrl applies one control record's state transition. Shared by
-// the live path (appendCtrl) and WAL replay (insert), which is what
+// applyCtrl applies one control record's state transition for insert,
+// on the live path (appendCtrl) and in WAL replay alike, which is what
 // makes a purge crash-safe: a follower promoting after the cutover
 // replays the tombstone and drops the fabric exactly as the primary
 // did.

@@ -171,6 +171,48 @@ func TestFreezeFabricSealsAdmission(t *testing.T) {
 	}
 }
 
+// TestAddUniqueRefusesReleasedFabric: a release clears the freeze, and
+// the moved-out marker refuses in the same gate hold — so a routed
+// write with a fresh OriginSeq for a fabric this store has released is
+// never admitted, live or after a restart, and does not burn its
+// sequence for the owner that adopts the fabric back.
+func TestAddUniqueRefusesReleasedFabric(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, durableCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, outcome := st.AddUnique(routedRec("pod-a", 100, "a1", 1)); outcome != Admitted {
+		t.Fatalf("first write: outcome=%v", outcome)
+	}
+	st.FreezeFabric("pod-a")
+	if _, err := st.PurgeFabric("pod-a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, outcome := st.AddUnique(routedRec("pod-a", 200, "a2", 2)); outcome != AdmitFrozen {
+		t.Fatalf("write to a released fabric: outcome=%v, want AdmitFrozen", outcome)
+	}
+	if got := st.Records(Query{Fabric: "pod-a", Node: AnyNode}); len(got) != 0 {
+		t.Fatalf("released fabric holds %d records", len(got))
+	}
+	st.Abort()
+
+	st2, err := Open(dir, durableCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if _, outcome := st2.AddUnique(routedRec("pod-a", 300, "a2", 2)); outcome != AdmitFrozen {
+		t.Fatalf("write to a released fabric after restart: outcome=%v, want AdmitFrozen", outcome)
+	}
+	if err := st2.AdoptFabric("pod-a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, outcome := st2.AddUnique(routedRec("pod-a", 400, "a2", 2)); outcome != Admitted {
+		t.Fatalf("write after adopt: outcome=%v, want Admitted", outcome)
+	}
+}
+
 // TestPurgeAdoptReplay: the reshard tombstones are WAL records — a
 // store that crashes after a cutover replays them and recovers the
 // exact post-cutover state (purged fabric gone, moved-out marker set,

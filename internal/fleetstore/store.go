@@ -136,8 +136,11 @@ type RecordObserver interface {
 	// ObserveRecord sees one admitted record after sequence stamping.
 	// The pointer is only valid for the duration of the call.
 	ObserveRecord(*Record)
-	// AdvanceWatermark mirrors Store.Sweep: all records at or before
-	// the watermark have been observed.
+	// AdvanceWatermark reports the store's watermark, the highest
+	// trigger time admitted: every admission that moves it calls this
+	// inside the admission gate, and a rebuild calls it after
+	// re-observing. Concurrent admissions may deliver watermarks out of
+	// order; one at or below a watermark already seen changes nothing.
 	AdvanceWatermark(sim.Time)
 	// ResetObserver discards all derived state; the store follows with
 	// a full re-observation in trigger-time order. Reshard cutovers and
@@ -237,8 +240,8 @@ type Store struct {
 	seq      atomic.Uint64
 	ingested atomic.Uint64
 	evicted  atomic.Uint64
-	// lastAt is the highest trigger time admitted — the watermark a
-	// reopened store sweeps to, reproducing pre-crash resolutions.
+	// lastAt is the watermark: the highest trigger time admitted. Only
+	// insert advances it and only restore sets it.
 	lastAt atomic.Int64
 
 	cl  *clusterer
@@ -302,11 +305,11 @@ func New(cfg Config) *Store {
 }
 
 // Open builds a durable store backed by dir: it loads the newest intact
-// snapshot, replays WAL entries past it (truncating a torn tail instead
-// of failing), sweeps to the recovered watermark so incidents resolved
-// before the crash come back resolved, and leaves the log open for
-// appends. A directory that has never held a store starts empty. The
-// recovery contract: every record whose Add returned before the crash
+// snapshot, replays WAL entries past it through insert (truncating a
+// torn tail instead of failing), so every sweep the pre-crash store ran
+// runs again at the same point, and leaves the log open for appends. A
+// directory that has never held a store starts empty. The recovery
+// contract: every record whose Add returned before the crash
 // is present after Open, exactly once, and incident IDs never repeat
 // across the restart.
 func Open(dir string, cfg Config) (*Store, error) {
@@ -359,11 +362,6 @@ func Open(dir string, cfg Config) (*Store, error) {
 	if !cfg.ReadOnly {
 		st.log = log
 	}
-	// Re-run the sweeps the pre-crash store had already performed: the
-	// watermark is the highest admitted trigger time.
-	if wm := st.lastAt.Load(); wm > 0 {
-		st.Sweep(sim.Time(wm))
-	}
 	return st, nil
 }
 
@@ -403,21 +401,34 @@ func (st *Store) Add(rec Record) Record {
 // so the dedup/freeze decision and the admission happen under one gate
 // hold.
 func (st *Store) addLocked(rec Record) (Record, uint64) {
-	rec.Seq = st.seq.Add(1)
-	if st.log != nil {
-		if payload, err := encodeRecord(&rec); err != nil {
-			st.walErrors.Add(1)
-		} else if err := st.log.Append(rec.Seq, payload); err != nil {
-			st.walErrors.Add(1)
-		} else if st.repl.count.Load() != 0 {
-			// Followers mirror the primary's log: only what reached disk
-			// here is streamed, byte-identical, under the same gate that
-			// orders SyncReplica's cut.
-			st.repl.publish(ReplEntry{Seq: rec.Seq, Payload: payload})
-		}
+	if err := st.logLocked(&rec); err != nil {
+		st.walErrors.Add(1)
 	}
 	st.insert(rec)
 	return rec, st.ingested.Add(1)
+}
+
+// logLocked stamps rec's sequence number and, on a durable store,
+// appends it to the WAL and streams it to followers. Callers hold the
+// admission gate. Followers mirror the primary's log: only what reached
+// disk here is streamed, byte-identical, under the same gate that
+// orders SyncReplica's cut.
+func (st *Store) logLocked(rec *Record) error {
+	rec.Seq = st.seq.Add(1)
+	if st.log == nil {
+		return nil
+	}
+	payload, err := encodeRecord(rec)
+	if err != nil {
+		return err
+	}
+	if err := st.log.Append(rec.Seq, payload); err != nil {
+		return err
+	}
+	if st.repl.count.Load() != 0 {
+		st.repl.publish(ReplEntry{Seq: rec.Seq, Payload: payload})
+	}
+	return nil
 }
 
 func (st *Store) maybeCheckpoint(n uint64) {
@@ -426,11 +437,16 @@ func (st *Store) maybeCheckpoint(n uint64) {
 	}
 }
 
-// insert folds a stamped record into cluster and ring state. Shared by
-// Add and WAL replay — replay is exactly re-running the admissions.
-// Control records (reshard purge/adopt tombstones) apply their state
-// transition instead of being retained, on both paths, which is what
-// makes a purge durable and replicable with no extra machinery.
+// insert is the admission step every door runs — Add, AddUnique, the
+// reshard tombstones, WAL replay — so replay is exactly re-running the
+// admissions. It folds a stamped record into cluster and ring state,
+// advances the watermark, and sweeps incidents and observer panes when
+// the watermark moved or the record arrived already past its join
+// window. Control records (reshard purge/adopt tombstones) apply their
+// state transition instead, which is what makes a purge durable and
+// replicable with no extra machinery. Live callers hold the admission
+// gate, so a checkpoint never cuts between an admission and its sweep;
+// Open replays before any concurrency exists.
 func (st *Store) insert(rec Record) {
 	if rec.Ctrl != "" {
 		st.applyCtrl(&rec)
@@ -440,26 +456,35 @@ func (st *Store) insert(rec Record) {
 	if st.cfg.Observer != nil {
 		st.cfg.Observer.ObserveRecord(&rec)
 	}
-	incID := st.cl.observe(rec)
-	if old, evicted := st.shardFor(rec.Fabric, rec.At).add(entry{rec: rec, inc: incID}, st.cfg.ShardCapacity); evicted {
-		st.evicted.Add(1)
-		st.cl.evict(old.inc, &old.rec)
-	}
-	for {
-		cur := st.lastAt.Load()
-		if int64(rec.At) <= cur || st.lastAt.CompareAndSwap(cur, int64(rec.At)) {
-			break
+	st.retain(entry{rec: rec, inc: st.cl.observe(rec)})
+	if wm, moved := st.advance(rec.At); moved || rec.At+st.cfg.Window < wm {
+		st.cl.sweep(wm)
+		if st.cfg.Observer != nil {
+			st.cfg.Observer.AdvanceWatermark(wm)
 		}
 	}
 }
 
-// Sweep resolves open incidents whose join window has fully passed at
-// the given watermark time, publishing Resolved events. Callers feed it
-// the highest trigger time seen (ingest workers do this automatically).
-func (st *Store) Sweep(watermark sim.Time) {
-	st.cl.sweep(watermark)
-	if st.cfg.Observer != nil {
-		st.cfg.Observer.AdvanceWatermark(watermark)
+// retain lands an entry in its shard ring, withdrawing the incident
+// membership of the record it overwrites.
+func (st *Store) retain(e entry) {
+	if old, evicted := st.shardFor(e.rec.Fabric, e.rec.At).add(e, st.cfg.ShardCapacity); evicted {
+		st.evicted.Add(1)
+		st.cl.evict(old.inc, &old.rec)
+	}
+}
+
+// advance raises the watermark to at, never backwards, and returns the
+// watermark and whether this call moved it.
+func (st *Store) advance(at sim.Time) (sim.Time, bool) {
+	for {
+		cur := st.lastAt.Load()
+		if int64(at) <= cur {
+			return sim.Time(cur), false
+		}
+		if st.lastAt.CompareAndSwap(cur, int64(at)) {
+			return at, true
+		}
 	}
 }
 
