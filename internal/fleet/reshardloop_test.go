@@ -175,9 +175,19 @@ func reshardLoop(t *testing.T, seed uint64) {
 		tr.attachFollower(name)
 	}
 
-	// Every shard holds exactly the acked victims its final ring
-	// position owns — exactly once, across every promotion and the
-	// migration.
+	// One closing write per shard moves its watermark past the reshard
+	// copies, which landed behind it, so checkAcked's watermark oracle
+	// covers every incident. Then every shard holds exactly the acked
+	// victims its final ring position owns — exactly once, across every
+	// promotion and the migration.
+	for _, name := range tr.names {
+		rec := tr.recs.next()
+		rec.Fabric = fabricOwnedBy(tr.ring, name)
+		if _, err := writer.Write(rec.Fabric, rec); err != nil {
+			tr.fatalf("closing write to %s: %v", name, err)
+		}
+		tr.ack(&rec)
+	}
 	for _, name := range tr.names {
 		tr.checkAcked(name)
 	}
@@ -219,6 +229,15 @@ func reshardLoop(t *testing.T, seed uint64) {
 		t.Fatalf("degenerate trial: %s", rep)
 	}
 	t.Log(rep)
+}
+
+// fabricOwnedBy returns a fabric name that ring places on shard.
+func fabricOwnedBy(ring *Ring, shard string) string {
+	for i := 0; ; i++ {
+		if f := fmt.Sprintf("close%02d", i); ring.Owner(f) == shard {
+			return f
+		}
+	}
 }
 
 // replanRing searches nearby layout seeds for a next ring whose plan

@@ -292,9 +292,11 @@ func incidentLines(st *fleetstore.Store) []string {
 	return out
 }
 
-// checkSwept is the watermark oracle: every admission sweeps at the
-// watermark it leaves behind, so no open incident's join window lies
-// wholly below the highest trigger time st holds.
+// checkSwept is the watermark oracle: every admission that moves the
+// watermark sweeps at it, so no open incident's join window lies wholly
+// below the highest trigger time st holds. It holds when st's last
+// admission moved the watermark: a trial's writes come in trigger-time
+// order, so each does, and only a reshard copy lands behind it.
 func checkSwept(st *fleetstore.Store, window sim.Time) error {
 	recs := st.Records(fleetstore.Query{Node: fleetstore.AnyNode})
 	if len(recs) == 0 {

@@ -365,8 +365,10 @@ func TestExecutorMovesFabricLive(t *testing.T) {
 		if got := srvs[m.From].Fleet().Records(fleetstore.Query{Fabric: m.Fabric, Node: fleetstore.AnyNode}); len(got) != 0 {
 			t.Fatalf("moved fabric %s still has %d records at %s", m.Fabric, len(got), m.From)
 		}
-		if !srvs[m.From].Fleet().MovedOut(m.Fabric) {
-			t.Fatalf("moved fabric %s not marked moved-out at %s", m.Fabric, m.From)
+		probe := testRec(m.Fabric, perFabric)
+		probe.OriginSeq = 1 << 40
+		if _, outcome := srvs[m.From].Fleet().AddUnique(probe); outcome != fleetstore.AdmitFrozen {
+			t.Fatalf("moved fabric %s not refused at %s: outcome=%v", m.Fabric, m.From, outcome)
 		}
 	}
 

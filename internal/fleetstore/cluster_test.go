@@ -98,19 +98,41 @@ func TestSweepResolvesAndRetains(t *testing.T) {
 	}
 }
 
-// TestLateComplaintResolvesOnAdmission: a complaint that arrives
-// already past its join window does not move the watermark, so its own
-// admission sweeps: the incident it opens resolves at once instead of
-// staying open until a later record moves the watermark.
-func TestLateComplaintResolvesOnAdmission(t *testing.T) {
-	st := New(Config{Window: sim.Millisecond})
-	st.Add(rec("pod-a", 10*sim.Millisecond, "v1", diagnosis.TypePFCStorm, 5))
-	st.Add(rec("pod-b", 5*sim.Millisecond, "w1", diagnosis.TypePFCContention, 9))
-	if incs := st.Incidents(Query{Node: 9}); len(incs) != 1 || !incs[0].Resolved {
-		t.Fatalf("late complaint's incident %+v, want one resolved", incs)
+// TestLateComplaintsJoinOneIncident: complaints behind the watermark —
+// here a reshard copy into an owner whose watermark is 10 ms ahead —
+// join or open incidents like any other, so related late complaints
+// form one incident, and the next admission that moves the watermark
+// resolves it.
+func TestLateComplaintsJoinOneIncident(t *testing.T) {
+	src := New(Config{Window: sim.Millisecond})
+	for i, v := range []string{"v1", "v2", "v3"} {
+		r := routedRec("pod-a", sim.Time(100*(i+1)), v, uint64(i+1))
+		r.Type, r.Node = diagnosis.TypePFCStorm, 5
+		src.AddUnique(r)
 	}
-	if c := st.CountersSnapshot(); c.OpenIncidents != 1 {
-		t.Fatalf("open = %d, want only the storm incident", c.OpenIncidents)
+	dst := New(Config{Window: sim.Millisecond})
+	dst.Add(rec("pod-b", 10*sim.Millisecond, "w1", diagnosis.TypePFCContention, 9))
+
+	// The cutover: seal, copy in OriginSeq order, release, adopt.
+	src.FreezeFabric("pod-a")
+	for _, r := range src.Records(Query{Fabric: "pod-a", Node: AnyNode}) {
+		if _, outcome := dst.AddUnique(r); outcome != Admitted {
+			t.Fatalf("copy of %s: outcome=%v", r.Victim, outcome)
+		}
+	}
+	if _, err := src.PurgeFabric("pod-a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.AdoptFabric("pod-a"); err != nil {
+		t.Fatal(err)
+	}
+	storm := Query{Node: 5}
+	if incs := dst.Incidents(storm); len(incs) != 1 || incs[0].Complaints != 3 || incs[0].Resolved {
+		t.Fatalf("copied storm: %+v, want one open incident of 3 complaints", incs)
+	}
+	dst.Add(rec("pod-b", 11*sim.Millisecond, "w2", diagnosis.TypePFCContention, 9))
+	if incs := dst.Incidents(storm); len(incs) != 1 || incs[0].Complaints != 3 || !incs[0].Resolved {
+		t.Fatalf("copied storm after the watermark moved: %+v, want one resolved incident of 3 complaints", incs)
 	}
 }
 

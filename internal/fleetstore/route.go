@@ -221,15 +221,6 @@ func (st *Store) FabricFrozen(fabric string) bool {
 	return ok
 }
 
-// MovedOut reports whether the fabric has been resharded away from
-// this store: its records were purged and writes must be refused.
-func (st *Store) MovedOut(fabric string) bool {
-	st.originMu.Lock()
-	defer st.originMu.Unlock()
-	_, ok := st.movedOut[fabric]
-	return ok
-}
-
 // Purged counts records dropped by reshard releases.
 func (st *Store) Purged() uint64 { return st.purged.Load() }
 

@@ -166,8 +166,8 @@ func TestFreezeFabricSealsAdmission(t *testing.T) {
 	if st.FabricFrozen("pod-b") {
 		t.Fatal("purge left the fabric frozen")
 	}
-	if !st.MovedOut("pod-b") {
-		t.Fatal("purge did not mark the fabric moved out")
+	if _, outcome := st.AddUnique(routedRec("pod-b", 150, "w2", 2)); outcome != AdmitFrozen {
+		t.Fatalf("purged fabric not refused: outcome=%v", outcome)
 	}
 }
 
@@ -245,17 +245,16 @@ func TestPurgeAdoptReplay(t *testing.T) {
 	if got := st2.Records(Query{Node: AnyNode}); len(got) != 1 || got[0].Victim != "b1" {
 		t.Fatalf("replayed purge: records %v", got)
 	}
-	if !st2.MovedOut("pod-a") {
-		t.Fatal("replayed store lost the moved-out marker")
+	if _, outcome := st2.AddUnique(routedRec("pod-a", 350, "a9", 1)); outcome != AdmitFrozen {
+		t.Fatalf("replayed store lost the moved-out marker: outcome=%v", outcome)
 	}
 	// Adopt clears the marker — and that survives replay too.
 	if err := st2.AdoptFabric("pod-a"); err != nil {
 		t.Fatal(err)
 	}
-	if st2.MovedOut("pod-a") {
-		t.Fatal("adopt left the moved-out marker")
+	if _, outcome := st2.AddUnique(routedRec("pod-a", 400, "a3", 1)); outcome != Admitted {
+		t.Fatalf("adopt left the moved-out marker: outcome=%v", outcome)
 	}
-	st2.Add(rec("pod-a", 400, "a3", diagnosis.TypePFCContention, 1))
 	st2.Close()
 
 	st3, err := Open(dir, durableCfg())
@@ -263,11 +262,11 @@ func TestPurgeAdoptReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st3.Close()
-	if st3.MovedOut("pod-a") {
-		t.Fatal("replayed adopt lost")
-	}
 	if got := st3.Records(Query{Fabric: "pod-a", Node: AnyNode}); len(got) != 1 || got[0].Victim != "a3" {
 		t.Fatalf("post-adopt fabric records %v", got)
+	}
+	if _, outcome := st3.AddUnique(routedRec("pod-a", 500, "a4", 2)); outcome != Admitted {
+		t.Fatalf("replayed adopt lost: outcome=%v", outcome)
 	}
 }
 

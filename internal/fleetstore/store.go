@@ -306,8 +306,12 @@ func New(cfg Config) *Store {
 
 // Open builds a durable store backed by dir: it loads the newest intact
 // snapshot, replays WAL entries past it through insert (truncating a
-// torn tail instead of failing), so every sweep the pre-crash store ran
-// runs again at the same point, and leaves the log open for appends. A
+// torn tail instead of failing), and leaves the log open for appends.
+// Replay runs the admissions in WAL (sequence) order, so when the
+// pre-crash store admitted one record at a time every sweep it ran runs
+// again at the same point. Concurrent admissions share the gate: one
+// may stamp its sequence before another yet observe or sweep after it,
+// and replay can then group or resolve their incidents differently. A
 // directory that has never held a store starts empty. The recovery
 // contract: every record whose Add returned before the crash
 // is present after Open, exactly once, and incident IDs never repeat
@@ -441,9 +445,12 @@ func (st *Store) maybeCheckpoint(n uint64) {
 // reshard tombstones, WAL replay — so replay is exactly re-running the
 // admissions. It folds a stamped record into cluster and ring state,
 // advances the watermark, and sweeps incidents and observer panes when
-// the watermark moved or the record arrived already past its join
-// window. Control records (reshard purge/adopt tombstones) apply their
-// state transition instead, which is what makes a purge durable and
+// the watermark moved. A late record (one behind the watermark) joins
+// or opens an incident like any other and is resolved by the next
+// admission that moves the watermark, so related late records — a
+// reshard copy, a lagging fabric — still cluster together. Control
+// records (reshard purge/adopt tombstones) apply their state
+// transition instead, which is what makes a purge durable and
 // replicable with no extra machinery. Live callers hold the admission
 // gate, so a checkpoint never cuts between an admission and its sweep;
 // Open replays before any concurrency exists.
@@ -457,7 +464,7 @@ func (st *Store) insert(rec Record) {
 		st.cfg.Observer.ObserveRecord(&rec)
 	}
 	st.retain(entry{rec: rec, inc: st.cl.observe(rec)})
-	if wm, moved := st.advance(rec.At); moved || rec.At+st.cfg.Window < wm {
+	if wm, moved := st.advance(rec.At); moved {
 		st.cl.sweep(wm)
 		if st.cfg.Observer != nil {
 			st.cfg.Observer.AdvanceWatermark(wm)
