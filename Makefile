@@ -21,7 +21,7 @@ out=`$(GO) test -run '$(1)' $(2) 2>&1`; rc=$$?; echo "$$out"; \
 [ $$rc -eq 0 ] || exit $$rc
 endef
 
-.PHONY: check build vet fmt loc test race no-poll sync-stress benchmark fleet-race chaos-smoke recovery-smoke fuzz-smoke rollup-smoke cluster-smoke reshard-smoke host-smoke
+.PHONY: check build vet fmt loc test race no-poll sync-stress bench-smoke benchmark fleet-race chaos-smoke recovery-smoke fuzz-smoke rollup-smoke cluster-smoke reshard-smoke host-smoke
 
 # check is the CI gate: compile everything, vet, gofmt, the no-poll
 # guard, full race-enabled tests, then the synchronisation-heavy
@@ -88,6 +88,12 @@ STRESS_PKGS = $(filter-out hawkeye/internal/experiments hawkeye/examples/hostsid
 
 sync-stress:
 	$(call run-tests,.,-count=3 -cpu 1$(comma)2 $(STRESS_PKGS))
+
+# bench-smoke runs every in-package Go benchmark for one iteration, so
+# a benchmark that no longer compiles, panics or fails its own checks
+# is caught. It measures nothing; perf claims go through ./benchmark.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # fleet-race is the fast loop while working on the ingest pipeline.
 fleet-race:

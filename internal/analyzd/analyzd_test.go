@@ -95,7 +95,7 @@ func TestEndToEndDiagnosis(t *testing.T) {
 				CauseKind:   cause.Kind.String(),
 				InitialNode: int(cause.Port.Node),
 				InitialPort: cause.Port.Port,
-				Rendered:    remote.Rendered,
+				Rendered:    d.String() + local.Graph.String(),
 				Switches:    len(local.Switches),
 				Confidence:  d.Confidence.String(),
 				Score:       d.ConfidenceScore,
@@ -105,8 +105,9 @@ func TestEndToEndDiagnosis(t *testing.T) {
 				want.Culprits = append(want.Culprits, f.String())
 			}
 			if !reflect.DeepEqual(*remote, want) {
-				remote.Rendered = ""
-				want.Rendered = ""
+				if remote.Rendered != want.Rendered {
+					t.Fatalf("served text differs from the in-process render:\n--- remote\n%s--- local\n%s", remote.Rendered, want.Rendered)
+				}
 				t.Fatalf("service verdict differs from the reproduction's:\n  remote: %+v\n  local:  %+v", *remote, want)
 			}
 			if !strings.Contains(remote.Rendered, remote.Type) {

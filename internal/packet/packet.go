@@ -11,6 +11,7 @@ package packet
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"hawkeye/internal/sim"
 )
@@ -78,22 +79,49 @@ func (ft FiveTuple) Reverse() FiveTuple {
 }
 
 func (ft FiveTuple) String() string {
-	return fmt.Sprintf("%s:%d>%s:%d/%d",
-		ipString(ft.SrcIP), ft.SrcPort, ipString(ft.DstIP), ft.DstPort, ft.Proto)
+	var b [maxTupleText]byte
+	return string(ft.AppendTo(b[:0]))
 }
 
-// SortByString sorts tuples by their String form, formatting each tuple
-// once rather than once per comparison. Distinct tuples format
-// distinctly, so the order is total; a later stable sort on another key
-// keeps it as the tie-break.
+// maxTupleText is the longest String form: two dotted quads, two
+// 5-digit ports, a 3-digit protocol and four separators.
+const maxTupleText = 2*15 + 2*5 + 3 + 4
+
+// AppendTo appends the String form, "a.b.c.d:sport>e.f.g.h:dport/proto",
+// to b and returns the extended buffer.
+func (ft FiveTuple) AppendTo(b []byte) []byte {
+	b = appendIP(b, ft.SrcIP)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(ft.SrcPort), 10)
+	b = append(b, '>')
+	b = appendIP(b, ft.DstIP)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(ft.DstPort), 10)
+	b = append(b, '/')
+	return strconv.AppendUint(b, uint64(ft.Proto), 10)
+}
+
+// SortByString sorts tuples by their String form. All keys are
+// formatted once, into one buffer, rather than once per comparison.
+// Distinct tuples format distinctly, so the order is total; a later
+// stable sort on another key keeps it as the tie-break.
 func SortByString(ts []FiveTuple) {
 	type keyed struct {
 		s string
 		t FiveTuple
 	}
-	ks := make([]keyed, len(ts))
+	buf := make([]byte, 0, len(ts)*maxTupleText)
+	ends := make([]int, len(ts))
 	for i, t := range ts {
-		ks[i] = keyed{t.String(), t}
+		buf = t.AppendTo(buf)
+		ends[i] = len(buf)
+	}
+	text := string(buf)
+	ks := make([]keyed, len(ts))
+	start := 0
+	for i, t := range ts {
+		ks[i] = keyed{text[start:ends[i]], t}
+		start = ends[i]
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i].s < ks[j].s })
 	for i := range ks {
@@ -101,8 +129,12 @@ func SortByString(ts []FiveTuple) {
 	}
 }
 
-func ipString(ip uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
+func appendIP(b []byte, ip uint32) []byte {
+	for shift := 24; shift > 0; shift -= 8 {
+		b = strconv.AppendUint(b, uint64(byte(ip>>shift)), 10)
+		b = append(b, '.')
+	}
+	return strconv.AppendUint(b, uint64(byte(ip)), 10)
 }
 
 func (ft FiveTuple) encode(b []byte) {

@@ -1,6 +1,9 @@
 package packet
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -67,17 +70,56 @@ func TestFiveTupleIsZero(t *testing.T) {
 	}
 }
 
+// sprintfTuple is FiveTuple.String as it was written with fmt, kept as
+// the differential reference for AppendTo.
+func sprintfTuple(ft FiveTuple) string {
+	ip := func(v uint32) string {
+		return fmt.Sprintf("%d.%d.%d.%d", byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	}
+	return fmt.Sprintf("%s:%d>%s:%d/%d", ip(ft.SrcIP), ft.SrcPort, ip(ft.DstIP), ft.DstPort, ft.Proto)
+}
+
+// TestAppendToMatchesSprintf: String and AppendTo print every seeded
+// tuple, the zero and all-ones tuples and each field at its extremes,
+// exactly as the fmt form does, and AppendTo keeps what the buffer held.
+func TestAppendToMatchesSprintf(t *testing.T) {
+	max := FiveTuple{SrcIP: math.MaxUint32, DstIP: math.MaxUint32, SrcPort: math.MaxUint16, DstPort: math.MaxUint16, Proto: math.MaxUint8}
+	ts := []FiveTuple{{}, max, tupleA(),
+		{SrcIP: math.MaxUint32}, {DstIP: math.MaxUint32}, {SrcPort: math.MaxUint16},
+		{DstPort: math.MaxUint16}, {Proto: math.MaxUint8}, {SrcIP: 0x01000000, DstIP: 0x00000001}}
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 2000; i++ {
+		ts = append(ts, FiveTuple{SrcIP: rng.Uint32(), DstIP: rng.Uint32(),
+			SrcPort: uint16(rng.Uint32()), DstPort: uint16(rng.Uint32()), Proto: uint8(rng.Uint32())})
+	}
+	for _, ft := range ts {
+		want := sprintfTuple(ft)
+		if got := ft.String(); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+		if got := string(ft.AppendTo([]byte("x|"))); got != "x|"+want {
+			t.Fatalf("AppendTo = %q, want %q", got, "x|"+want)
+		}
+		if len(want) > maxTupleText {
+			t.Fatalf("%q is longer than maxTupleText (%d)", want, maxTupleText)
+		}
+	}
+	if got := len(sprintfTuple(max)); got != maxTupleText {
+		t.Fatalf("longest tuple is %d bytes, maxTupleText %d", got, maxTupleText)
+	}
+}
+
 // TestSortByString: the keyed sort orders tuples exactly as comparing
-// their String forms does, including where the two disagree with
-// numeric order ("10.0.0.10" sorts before "10.0.0.9").
+// their fmt forms does, including where the two disagree with numeric
+// order ("10.0.0.10" sorts before "10.0.0.9").
 func TestSortByString(t *testing.T) {
 	prop := func(ts []FiveTuple) bool {
 		want := append([]FiveTuple(nil), ts...)
-		sort.Slice(want, func(i, j int) bool { return want[i].String() < want[j].String() })
+		sort.Slice(want, func(i, j int) bool { return sprintfTuple(want[i]) < sprintfTuple(want[j]) })
 		SortByString(ts)
 		return slices.Equal(ts, want)
 	}
-	if err := quick.Check(prop, nil); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 	ts := []FiveTuple{{SrcIP: 0x0A000009}, {SrcIP: 0x0A00000A}}

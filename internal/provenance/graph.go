@@ -6,9 +6,11 @@
 package provenance
 
 import (
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"hawkeye/internal/packet"
 	"hawkeye/internal/telemetry"
@@ -154,6 +156,10 @@ type Graph struct {
 	// contention holds the per-epoch flow populations per port, the raw
 	// material for queue replay (kept epoch-separated on purpose).
 	contention map[topo.PortRef][]epochFlows
+
+	// rendered memoizes String's report-derived lines; Build sets it,
+	// Fork shares it, and it is nil on a NewGraph graph.
+	rendered *renderMemo
 }
 
 // HostInfo is one host leaf node of the wait-for graph: the freshest
@@ -318,12 +324,12 @@ func NewGraph(cfg Config) *Graph {
 
 // Fork returns a shallow copy of g for one complaint. The fork shares
 // the report-derived structure with g: Ports, Flows, the edge maps,
-// PortEdgeEvidence, the contention populations and the Coverage's
-// Switches and EpochsBySwitch. What a complaint writes is its own: the
-// Hosts map, and a Coverage copy with its own Hosts map and nil
-// per-node rejection and missing sets. Fork the graph Build returned,
-// before any complaint touched it, and every fork starts from the same
-// evidence.
+// PortEdgeEvidence, the contention populations, the Coverage's
+// Switches and EpochsBySwitch, and the text String renders from them.
+// What a complaint writes is its own: the Hosts map, and a Coverage
+// copy with its own Hosts map and nil per-node rejection and missing
+// sets. Fork the graph Build returned, before any complaint touched
+// it, and every fork starts from the same evidence.
 //
 // The rule that makes this safe: nothing writes the shared maps, or the
 // PortInfo and FlowInfo they hold, after Build returns. Diagnosis,
@@ -452,51 +458,163 @@ func (g *Graph) IsBurstFlow(f packet.FiveTuple, p topo.PortRef) bool {
 }
 
 // String renders the graph in a compact human-readable form (case
-// studies, Fig. 12).
+// studies, Fig. 12): the port lines with their wait-for edges, the
+// flow -> port lines, then the host leaves.
+//
+// On a graph Build returned, everything but the host lines is rendered
+// at most once and shared by every fork: those lines read only the maps
+// nothing writes after Build returns (see Fork), while each fork's host
+// leaves are its own and are rendered on every call. A NewGraph graph
+// has no memo and renders fresh on every call.
 func (g *Graph) String() string {
+	m := g.rendered
+	if m == nil {
+		return string(g.appendHostLines(g.appendReportLines(nil)))
+	}
+	var first string
+	m.once.Do(func() {
+		b := g.appendReportLines(nil)
+		n := len(b)
+		first = string(g.appendHostLines(b))
+		// The memo is a prefix of this render's own string, so a graph
+		// rendered once holds one copy of its text, not two.
+		m.text = first[:n]
+	})
+	if first != "" {
+		return first
+	}
+	if len(g.Hosts) == 0 {
+		return m.text
+	}
+	hosts := g.appendHostLines(make([]byte, 0, hostLineLen*len(g.Hosts)))
 	var b strings.Builder
-	b.WriteString("provenance graph:\n")
+	b.Grow(len(m.text) + len(hosts))
+	b.WriteString(m.text)
+	b.Write(hosts)
+	return b.String()
+}
+
+// renderMemo holds the report-derived lines of String for one Build,
+// shared by the graph Build returned and all its forks. once makes it
+// safe to render forks from several goroutines.
+type renderMemo struct {
+	once sync.Once
+	text string
+}
+
+// appendReportLines appends the header, port, wait-for and flow lines:
+// everything String prints that is derived from the reports alone.
+func (g *Graph) appendReportLines(b []byte) []byte {
+	b = append(b, "provenance graph:\n"...)
 	ports := make([]topo.PortRef, 0, len(g.Ports))
 	for p := range g.Ports {
 		ports = append(ports, p)
 	}
 	sortPortRefs(ports)
+	var flows []packet.FiveTuple
 	for _, p := range ports {
 		info := g.Ports[p]
-		fmt.Fprintf(&b, "  port %v paused=%d qdepth=%.0fB\n", p, info.PausedNum, info.AvgQdepth())
+		b = append(b, "  port "...)
+		b = appendPortRef(b, p)
+		b = append(b, " paused="...)
+		b = strconv.AppendUint(b, info.PausedNum, 10)
+		b = append(b, " qdepth="...)
+		b = strconv.AppendFloat(b, info.AvgQdepth(), 'f', 0, 64)
+		b = append(b, "B\n"...)
 		for _, q := range g.PortNeighbors(p) {
-			fmt.Fprintf(&b, "    waits-for port %v (w=%.1f)\n", q, g.PortEdges[p][q])
+			b = append(b, "    waits-for port "...)
+			b = appendPortRef(b, q)
+			b = append(b, " (w="...)
+			b = strconv.AppendFloat(b, g.PortEdges[p][q], 'f', 1, 64)
+			b = append(b, ")\n"...)
 		}
-		flows := make([]packet.FiveTuple, 0, len(g.PortFlow[p]))
+		flows = flows[:0]
 		for f := range g.PortFlow[p] {
 			flows = append(flows, f)
 		}
 		packet.SortByString(flows)
 		for _, f := range flows {
-			fmt.Fprintf(&b, "    waits-for flow %v (w=%+.2f)\n", f, g.PortFlow[p][f])
+			b = append(b, "    waits-for flow "...)
+			b = f.AppendTo(b)
+			b = append(b, " (w="...)
+			b = appendSigned(b, g.PortFlow[p][f], 2)
+			b = append(b, ")\n"...)
 		}
 	}
-	flows := make([]packet.FiveTuple, 0, len(g.FlowPort))
+	flows = flows[:0]
 	for f := range g.FlowPort {
 		flows = append(flows, f)
 	}
 	packet.SortByString(flows)
 	for _, f := range flows {
 		for _, p := range g.VictimPorts(f) {
-			fmt.Fprintf(&b, "  flow %v paused-at %v (w=%.0f)\n", f, p, g.FlowPort[f][p])
+			b = append(b, "  flow "...)
+			b = f.AppendTo(b)
+			b = append(b, " paused-at "...)
+			b = appendPortRef(b, p)
+			b = append(b, " (w="...)
+			b = strconv.AppendFloat(b, g.FlowPort[f][p], 'f', 0, 64)
+			b = append(b, ")\n"...)
 		}
 	}
-	hosts := make([]topo.NodeID, 0, len(g.Hosts))
+	return b
+}
+
+// hostLineLen is room for a typical host line; a longer one grows the
+// buffer.
+const hostLineLen = 128
+
+// appendHostLines appends one line per host leaf, by host ID.
+func (g *Graph) appendHostLines(b []byte) []byte {
+	var ids [8]topo.NodeID // a complaint's expected hosts usually fit
+	hosts := ids[:0]
 	for id := range g.Hosts {
 		hosts = append(hosts, id)
 	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+	slices.Sort(hosts)
 	for _, id := range hosts {
 		r := &g.Hosts[id].Report
-		fmt.Fprintf(&b, "  host %d rxbuf=%d/%dB drain=%dbps pauseTx=%d pauseRx=%d proc=%dns qps=%d\n",
-			id, r.RxBufferBytes, r.RxBufferCap, r.DrainBps, r.PauseTx, r.PauseRx, r.ProcLatencyNS, r.ActiveQPs)
+		b = append(b, "  host "...)
+		b = strconv.AppendInt(b, int64(id), 10)
+		b = append(b, " rxbuf="...)
+		b = strconv.AppendUint(b, r.RxBufferBytes, 10)
+		b = append(b, '/')
+		b = strconv.AppendUint(b, r.RxBufferCap, 10)
+		b = append(b, "B drain="...)
+		b = strconv.AppendUint(b, r.DrainBps, 10)
+		b = append(b, "bps pauseTx="...)
+		b = strconv.AppendUint(b, r.PauseTx, 10)
+		b = append(b, " pauseRx="...)
+		b = strconv.AppendUint(b, r.PauseRx, 10)
+		b = append(b, " proc="...)
+		b = strconv.AppendUint(b, r.ProcLatencyNS, 10)
+		b = append(b, "ns qps="...)
+		b = strconv.AppendUint(b, uint64(r.ActiveQPs), 10)
+		b = append(b, '\n')
 	}
-	return b.String()
+	return b
+}
+
+// appendPortRef appends p in topo.PortRef's String form, "N<node>.P<port>".
+func appendPortRef(b []byte, p topo.PortRef) []byte {
+	b = append(b, 'N')
+	b = strconv.AppendInt(b, int64(p.Node), 10)
+	b = append(b, ".P"...)
+	return strconv.AppendInt(b, int64(p.Port), 10)
+}
+
+// appendSigned appends v as fmt's %+.<prec>f does: strconv's form with
+// a '+' in front of anything that does not already carry a sign, NaN
+// included.
+func appendSigned(b []byte, v float64, prec int) []byte {
+	n := len(b)
+	b = strconv.AppendFloat(b, v, 'f', prec, 64)
+	if b[n] != '-' && b[n] != '+' {
+		b = append(b, 0)
+		copy(b[n+1:], b[n:])
+		b[n] = '+'
+	}
+	return b
 }
 
 func sortPortRefs(ps []topo.PortRef) {
@@ -629,6 +747,7 @@ func Build(cfg Config, reports []*telemetry.Report, t *topo.Topology) *Graph {
 	g.buildPortEdges(views, t)
 	g.buildFlowPortEdges()
 	g.buildPortFlowEdges()
+	g.rendered = new(renderMemo)
 	return g
 }
 

@@ -1,7 +1,12 @@
 package provenance
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -348,5 +353,239 @@ func TestDOTRendersGraph(t *testing.T) {
 	// iteration everywhere).
 	if g.DOT(nil) != dot {
 		t.Fatal("DOT output not deterministic")
+	}
+}
+
+// referenceString is Graph.String as it was written with fmt, kept as
+// the differential reference for the append-based renderer and its
+// per-build memo.
+func referenceString(g *Graph) string {
+	var b strings.Builder
+	b.WriteString("provenance graph:\n")
+	ports := make([]topo.PortRef, 0, len(g.Ports))
+	for p := range g.Ports {
+		ports = append(ports, p)
+	}
+	sortPortRefs(ports)
+	for _, p := range ports {
+		info := g.Ports[p]
+		fmt.Fprintf(&b, "  port %v paused=%d qdepth=%.0fB\n", p, info.PausedNum, info.AvgQdepth())
+		for _, q := range g.PortNeighbors(p) {
+			fmt.Fprintf(&b, "    waits-for port %v (w=%.1f)\n", q, g.PortEdges[p][q])
+		}
+		flows := make([]packet.FiveTuple, 0, len(g.PortFlow[p]))
+		for f := range g.PortFlow[p] {
+			flows = append(flows, f)
+		}
+		packet.SortByString(flows)
+		for _, f := range flows {
+			fmt.Fprintf(&b, "    waits-for flow %v (w=%+.2f)\n", f, g.PortFlow[p][f])
+		}
+	}
+	flows := make([]packet.FiveTuple, 0, len(g.FlowPort))
+	for f := range g.FlowPort {
+		flows = append(flows, f)
+	}
+	packet.SortByString(flows)
+	for _, f := range flows {
+		for _, p := range g.VictimPorts(f) {
+			fmt.Fprintf(&b, "  flow %v paused-at %v (w=%.0f)\n", f, p, g.FlowPort[f][p])
+		}
+	}
+	hosts := make([]topo.NodeID, 0, len(g.Hosts))
+	for id := range g.Hosts {
+		hosts = append(hosts, id)
+	}
+	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+	for _, id := range hosts {
+		r := &g.Hosts[id].Report
+		fmt.Fprintf(&b, "  host %d rxbuf=%d/%dB drain=%dbps pauseTx=%d pauseRx=%d proc=%dns qps=%d\n",
+			id, r.RxBufferBytes, r.RxBufferCap, r.DrainBps, r.PauseTx, r.PauseRx, r.ProcLatencyNS, r.ActiveQPs)
+	}
+	return b.String()
+}
+
+// awkwardWeights are the values where an append renderer can part from
+// fmt: signs of zero, halves that round, non-finite values, and
+// magnitudes past float64's exact integers.
+var awkwardWeights = []float64{
+	0, math.Copysign(0, -1), 0.5, 1.5, 2.5, -0.5, -2.5, 0.05, 0.15, 0.125, -0.125,
+	0.005, 0.015, -0.015, 1e-9, -1e-9, 1e21, -1e21, 123456789.5,
+	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+	math.NaN(), math.Inf(1), math.Inf(-1),
+}
+
+// randomGraph fills a NewGraph graph from rng: ports with counts up to
+// the uint64 limit, port, flow -> port and port -> flow edges whose
+// weights mix awkward values with ordinary ones, and host leaves.
+func randomGraph(rng *rand.Rand) *Graph {
+	g := NewGraph(testCfg())
+	weight := func() float64 {
+		if rng.Intn(3) == 0 {
+			return awkwardWeights[rng.Intn(len(awkwardWeights))]
+		}
+		return (rng.Float64() - 0.3) * math.Pow(10, float64(rng.Intn(12)-3))
+	}
+	count := func() uint64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return math.MaxUint64 - uint64(rng.Intn(3))
+		}
+		return uint64(rng.Int63n(1 << uint(rng.Intn(62)+1)))
+	}
+	tuple := func() packet.FiveTuple {
+		return packet.FiveTuple{SrcIP: rng.Uint32(), DstIP: rng.Uint32() & 0xFF0000FF,
+			SrcPort: uint16(rng.Intn(1 << 16)), DstPort: uint16(rng.Intn(1 << 16)), Proto: uint8(rng.Intn(256))}
+	}
+	var ports []topo.PortRef
+	for i := rng.Intn(12); i >= 0; i-- {
+		p := topo.PortRef{Node: topo.NodeID(rng.Intn(40)), Port: rng.Intn(64)}
+		ports = append(ports, p)
+		g.Ports[p] = &PortInfo{Ref: p, PausedNum: count(), PktCount: count(), QdepthSum: count()}
+	}
+	var flows []packet.FiveTuple
+	for i := rng.Intn(10); i >= 0; i-- {
+		flows = append(flows, tuple())
+	}
+	for i := rng.Intn(30); i > 0; i-- {
+		a, b := ports[rng.Intn(len(ports))], ports[rng.Intn(len(ports))]
+		if g.PortEdges[a] == nil {
+			g.PortEdges[a] = make(map[topo.PortRef]float64)
+		}
+		g.PortEdges[a][b] = weight()
+	}
+	for i := rng.Intn(40); i > 0; i-- {
+		p, f := ports[rng.Intn(len(ports))], flows[rng.Intn(len(flows))]
+		if g.PortFlow[p] == nil {
+			g.PortFlow[p] = make(map[packet.FiveTuple]float64)
+		}
+		g.PortFlow[p][f] = weight()
+		if rng.Intn(2) == 0 {
+			if g.FlowPort[f] == nil {
+				g.FlowPort[f] = make(map[topo.PortRef]float64)
+			}
+			g.FlowPort[f][p] = weight()
+		}
+	}
+	for i := rng.Intn(4); i > 0; i-- {
+		id := topo.NodeID(rng.Intn(1 << 20))
+		g.Hosts[id] = &HostInfo{Host: id, Report: telemetry.HostReport{
+			Host: id, RxBufferBytes: count(), RxBufferCap: count(), DrainBps: count(),
+			PauseTx: count(), PauseRx: count(), ProcLatencyNS: count(), ActiveQPs: rng.Uint32(),
+		}}
+	}
+	return g
+}
+
+// TestStringMatchesReference: the append renderer prints every seeded
+// random graph byte for byte as the fmt reference does, fresh and
+// through a build memo shared by forks.
+func TestStringMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 500; i++ {
+		g := randomGraph(rng)
+		want := referenceString(g)
+		if got := g.String(); got != want {
+			t.Fatalf("graph %d renders differently:\ngot:\n%s\nwant:\n%s", i, got, want)
+		}
+		// The same graph as Build would return it: memo attached, hosts
+		// moved onto a fork, and that fork rendered first, so the render
+		// that fills the memo carries host lines the others must not.
+		g.rendered = new(renderMemo)
+		f := g.Fork()
+		for id, h := range g.Hosts {
+			f.Hosts[id] = h
+		}
+		g.Hosts = make(map[topo.NodeID]*HostInfo)
+		for _, r := range []*Graph{f, g, f, g.Fork()} {
+			if got, want := r.String(), referenceString(r); got != want {
+				t.Fatalf("graph %d renders differently through the memo:\ngot:\n%s\nwant:\n%s", i, got, want)
+			}
+		}
+	}
+}
+
+// forkTestGraph builds a small graph with paused ports, contention and
+// flow -> port edges, and names two hosts of its topology.
+func forkTestGraph(t *testing.T) (*Graph, *topo.Topology, []topo.NodeID) {
+	t.Helper()
+	tp, sws := chainTopo(t)
+	r := report(sws[0], 1000)
+	r.Status = []telemetry.PortStatus{{Port: 1, PausedUntil: 5000, QdepthBytes: 777}}
+	r.Epochs = []telemetry.EpochData{contentionEpoch([]popSpec{
+		{flowT(1), 10, 5, 1000},
+		{flowT(2), 10, 0, 1000},
+		{flowT(3), 4, 2, 3000},
+	})}
+	g := Build(testCfg(), []*telemetry.Report{r}, tp)
+	hosts := tp.Hosts()
+	if len(hosts) < 2 {
+		t.Fatal("chain topology has fewer than two hosts")
+	}
+	return g, tp, hosts
+}
+
+// TestForkRenderSharesSwitchText: forks of one build share its rendered
+// report-derived text, each fork's own host lines included only in its
+// own render, while a hand-built graph renders fresh on every call.
+// Forks of a second build are first rendered from two goroutines at
+// once (run it under -race).
+func TestForkRenderSharesSwitchText(t *testing.T) {
+	g, tp, hosts := forkTestGraph(t)
+	built := referenceString(g)
+	a, b := g.Fork(), g.Fork()
+	a.AddHostReport(&telemetry.HostReport{Host: hosts[0], Taken: 900, RxBufferBytes: 4096, RxBufferCap: 65536, PauseTx: 12}, tp)
+	// a renders first, so its host line is in the render that fills the
+	// memo; b and the build must not see it.
+	for _, f := range []*Graph{a, b, a, b} {
+		if got, want := f.String(), referenceString(f); got != want {
+			t.Fatalf("fork renders differently from the reference:\ngot:\n%s\nwant:\n%s", got, want)
+		}
+	}
+	if !strings.Contains(a.String(), "  host ") || strings.Contains(b.String(), "  host ") {
+		t.Fatal("a host line leaked between forks")
+	}
+	if got := g.String(); got != built {
+		t.Fatalf("rendering forks changed the build's text:\ngot:\n%s\nwant:\n%s", got, built)
+	}
+
+	g2, _, _ := forkTestGraph(t)
+	forks := []*Graph{g2.Fork(), g2.Fork()}
+	forks[0].AddHostReport(&telemetry.HostReport{Host: hosts[1], Taken: 900, DrainBps: 1e9}, tp)
+	got := make([]string, len(forks))
+	var wg sync.WaitGroup
+	for i, f := range forks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = f.String()
+		}()
+	}
+	wg.Wait()
+	for i, f := range forks {
+		if want := referenceString(f); got[i] != want {
+			t.Fatalf("fork %d rendered concurrently:\ngot:\n%s\nwant:\n%s", i, got[i], want)
+		}
+	}
+
+	// A forked complaint's render costs its own host lines, not the graph.
+	allocs := testing.AllocsPerRun(100, func() {
+		f := g.Fork()
+		f.AddHostReport(&telemetry.HostReport{Host: hosts[1], Taken: 900}, tp)
+		_ = f.String()
+	})
+	if allocs > 8 {
+		t.Fatalf("Fork + AddHostReport + String = %v allocations, want <= 8", allocs)
+	}
+
+	h := NewGraph(testCfg())
+	p := topo.PortRef{Node: 1, Port: 2}
+	h.Ports[p] = &PortInfo{Ref: p, PausedNum: 3}
+	before := h.String()
+	h.Ports[p].PausedNum = 4
+	if after := h.String(); after == before || after != referenceString(h) {
+		t.Fatalf("hand-built graph did not show its mutation:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }

@@ -170,7 +170,11 @@ type Diagnosis struct {
 	InitialPort int `json:"initialPort"`
 	// Culprits are the root-cause flows, if any.
 	Culprits []string `json:"culprits,omitempty"`
-	// Rendered is the human-readable diagnosis report.
+	// Rendered is the human-readable verdict: the diagnosis report's
+	// text followed by its provenance graph's (diagnosis.Report.String
+	// + provenance.Graph.String). The graph's report-derived lines are
+	// rendered once per report set and shared by every verdict drawn
+	// from it; only the host lines are rendered per complaint.
 	Rendered string `json:"rendered"`
 	// Switches counts the telemetry reports used.
 	Switches int `json:"switches"`
